@@ -3,9 +3,12 @@
 Three instruments, one artifact (``BENCH_sched.json``):
 
 * **scheduler head-to-head** — every arrival profile's corpus runs
-  through the frozen per-item scheduler and the adaptive scheduler
-  (same process-pool + shared-memory executor, cache disabled), whole
-  batch at a time so the planner can actually group.  Wall throughput
+  through a bench-local per-item lane (:class:`PerItemLane`: one future
+  per unique binary over a process pool + shared-memory arena, the
+  dispatch shape the adaptive scheduler replaced) and through
+  ``BatchInspector(mode="process")`` (adaptive dispatch over the same
+  kind of pool and arena), cache disabled, whole batch at a time so
+  the planner can actually group.  Wall throughput
   is reported for both; the *modeled* speedup removes host-parallelism
   from the picture entirely: with ``W`` the measured serial inspection
   cost of the corpus and ``D`` the measured per-future dispatch
@@ -22,9 +25,9 @@ Three instruments, one artifact (``BENCH_sched.json``):
   be byte-identical between the two paths — the split is an executor
   strategy, never a semantic change,
 * **divergence gate** — the full variant corpus plus the huge-text
-  binaries run through ``scheduler="per-item"`` (the frozen oracle)
-  and ``scheduler="adaptive"``; every verdict wire or typed error must
-  match exactly.  Zero divergences is enforced unconditionally, quick
+  binaries run through the per-item lane and the adaptive inspector;
+  every verdict wire or typed error must match ``mode="serial"``
+  exactly.  Zero divergences is enforced unconditionally, quick
   or not.
 
 Wall-clock bars (adaptive >= 1.25x per-item on compliant-heavy and
@@ -49,6 +52,8 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -64,7 +69,18 @@ from repro.core import (
     inspect_extent_split,
     scan_extent,
 )
-from repro.service import BatchInspector, generate_variant_corpus
+from repro.core.report import ComplianceReport
+from repro.service import (
+    ZERO_SCHED,
+    BatchInspector,
+    BatchItemResult,
+    BatchReport,
+    BatchSummary,
+    SharedArena,
+    cache_key,
+    generate_variant_corpus,
+)
+from repro.service import shm
 from repro.toolchain import Compiler, CompilerFlags, build_libc, link
 from repro.toolchain.ir import FunctionSpec, ProgramSpec
 from repro.toolchain.workloads import build_workload
@@ -168,6 +184,83 @@ def build_profiles(libc, *, quick: bool) -> dict[str, list[tuple[str, bytes]]]:
     }
 
 
+# ------------------------------------------------- per-item lane
+
+_LANE_ENGARDE: EnGarde | None = None
+
+
+def _lane_init(policies: PolicyRegistry) -> None:
+    global _LANE_ENGARDE
+    _LANE_ENGARDE = EnGarde(policies)
+
+
+def _lane_inspect(ticket: shm.ArenaTicket) -> bytes:
+    view = shm.attach_view(ticket)
+    try:
+        return _LANE_ENGARDE.inspect(view, benchmark="").report.serialize()
+    finally:
+        view.release()
+
+
+class PerItemLane:
+    """One future per unique binary over a process pool + SharedArena.
+
+    The baseline the adaptive scheduler is measured against: no
+    inlining, no micro-batching, no extent split.  Requests are keyed
+    and deduplicated by :func:`~repro.service.cache_key`, as
+    ``BatchInspector`` does, so the two differ only in dispatch.
+    """
+
+    def __init__(self, policies: PolicyRegistry, *, workers: int) -> None:
+        self.policies = policies
+        self.workers = workers
+        self._pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_lane_init, initargs=(policies,),
+        )
+        self._arena = SharedArena()
+
+    def inspect_batch(self, corpus: list[tuple[str, bytes]]) -> BatchReport:
+        keys = [cache_key(raw, self.policies) for _, raw in corpus]
+        tickets = {}
+        for key, (_, raw) in zip(keys, corpus):
+            if key not in tickets:
+                tickets[key] = self._arena.publish(raw)
+        futures = {
+            key: self._pool.submit(_lane_inspect, ticket)
+            for key, ticket in tickets.items()
+        }
+        verdicts = {}
+        for key, future in futures.items():
+            try:
+                wire = future.result()
+                verdicts[key] = (ComplianceReport.deserialize(wire), None)
+            except Exception as exc:  # noqa: BLE001 — per-item isolation
+                verdicts[key] = (None, f"{type(exc).__name__}: {exc}")
+            self._arena.release(tickets[key])
+        results = []
+        for index, (key, (label, _)) in enumerate(zip(keys, corpus)):
+            report, error = verdicts[key]
+            results.append(BatchItemResult(
+                index=index, label=label, error=error,
+                report=replace(report, benchmark=label) if report else None,
+            ))
+        summary = BatchSummary(
+            total=len(corpus), workers=self.workers, mode="process",
+            dispatch=dict(ZERO_SCHED, futures_submitted=len(futures)),
+        )
+        return BatchReport(results=results, summary=summary)
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True)
+        self._arena.close()
+
+    def __enter__(self) -> "PerItemLane":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 # ------------------------------------------------- scheduler head-to-head
 
 
@@ -179,15 +272,15 @@ def _item_fingerprint(item) -> tuple:
 
 
 def _timed_batch(
-    policies: PolicyRegistry,
+    inspector,
     corpus: list[tuple[str, bytes]],
     *,
     repeats: int,
-    **kwargs,
 ) -> tuple[float, dict, dict[str, tuple]]:
-    """Run *corpus* whole-batch *repeats* times; return (wall, dispatch,
-    per-label fingerprints from the last pass)."""
-    with BatchInspector(policies, cache=False, **kwargs) as insp:
+    """Run *corpus* whole-batch *repeats* times through *inspector*
+    (closed afterwards); return (wall, dispatch, per-label fingerprints
+    from the last pass)."""
+    with inspector as insp:
         # absorb pool spin-up (and, in serial mode, first-inspection
         # lazy-init costs) outside the clock — the model needs W and D
         # from steady state, not from whoever happened to run first
@@ -218,19 +311,20 @@ def bench_schedulers(
     """
     out: dict = {"workers": workers, "profiles": {}}
     divergences: list[str] = []
-    pool = dict(mode="process", shared_memory=True, workers=workers)
     for profile, corpus in profiles.items():
         n_items = len(corpus) * repeats
         serial_wall, _, oracle = _timed_batch(
-            policies, corpus, repeats=repeats, mode="serial",
+            BatchInspector(policies, mode="serial", cache=False),
+            corpus, repeats=repeats,
         )
         per_item_wall, per_item_dispatch, per_item_prints = _timed_batch(
-            policies, corpus, repeats=repeats,
-            scheduler="per-item", **pool,
+            PerItemLane(policies, workers=workers), corpus, repeats=repeats,
         )
         adaptive_wall, adaptive_dispatch, adaptive_prints = _timed_batch(
-            policies, corpus, repeats=repeats,
-            scheduler="adaptive", **pool,
+            BatchInspector(
+                policies, mode="process", workers=workers, cache=False,
+            ),
+            corpus, repeats=repeats,
         )
         for prints, who in (
             (per_item_prints, "per-item"), (adaptive_prints, "adaptive"),
@@ -243,7 +337,7 @@ def bench_schedulers(
                     )
 
         # dispatch model: W = serial work, D = per-future overhead as
-        # actually paid by the frozen per-item path, F_ad = futures the
+        # actually paid by the per-item lane, F_ad = futures the
         # adaptive plan submitted.  Modeled adaptive wall = W + F_ad*D.
         futures_per_item = max(n_items, 1)
         overhead_per_future = max(
@@ -521,7 +615,7 @@ def test_adaptive_scheduler_bench():
     Path(DEFAULT_OUTPUT).write_text(json.dumps(result, indent=1) + "\n")
     record_table(
         "Adaptive scheduler (micro-batch + extent-split) vs per-item "
-        "oracle:\n" + render_table(result)
+        "lane:\n" + render_table(result)
     )
     problems = _check_bars(result, cpu_count=os.cpu_count() or 1)
     assert not problems, problems

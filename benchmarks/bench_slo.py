@@ -3,11 +3,13 @@
 Two instruments, one artifact (``BENCH_slo.json``):
 
 * **executor cross-mode bench** — every executor mode (``serial``,
-  ``thread``, ``process`` with the frozen pickling path, ``process``
-  with the shared-memory arena) inspects the same profile corpora.
-  The differential check pins the verdict wire byte-identical across
-  all four modes; the throughput bar requires the zero-copy executor
-  to beat the pickling executor by >=1.5x on the ``few-huge`` profile,
+  ``thread``, ``process-pickle`` — the bench-local
+  :class:`PickleLane`, raw bytes pickled to a process pool — and
+  ``process-shm``, the library's process mode over the shared-memory
+  arena) inspects the same profile corpora.  The differential check
+  pins the verdict wire byte-identical across all four modes; the
+  throughput bar requires the zero-copy executor to beat the pickling
+  lane by >=1.5x on the ``few-huge`` profile,
   where the pickle/pipe tax dominates (multi-MB data-heavy binaries
   whose inspection is cheap but whose round-trip through the executor
   pipe is not),
@@ -54,6 +56,8 @@ import statistics
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -61,20 +65,27 @@ if str(_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(_ROOT / "src"))
 
 from repro.core import (
+    EnGarde,
     IfccPolicy,
     LibraryLinkingPolicy,
     PolicyRegistry,
     StackProtectionPolicy,
 )
 from repro.core.provisioning import ResilienceConfig
+from repro.core.report import ComplianceReport
 from repro.crypto import HmacDrbg
 from repro.errors import ReproError
 from repro.faults import FaultPlan, injected
 from repro.service import (
     BatchInspector,
+    BatchItemResult,
+    BatchReport,
+    BatchSummary,
     ClientVerdict,
     InspectionClient,
     InspectionDaemon,
+    cache_key,
+    default_workers,
     generate_variant_corpus,
 )
 from repro.toolchain import Compiler, CompilerFlags, build_libc, link
@@ -92,12 +103,87 @@ PROFILE_NAMES = (
     "compliant-heavy", "adversarial-mix", "many-tiny", "few-huge",
 )
 
-#: executor modes, in differential-oracle order (serial is the oracle)
+
+# ------------------------------------------------------- pickling lane
+
+_LANE_ENGARDE: EnGarde | None = None
+
+
+def _lane_init(policies: PolicyRegistry) -> None:
+    global _LANE_ENGARDE
+    _LANE_ENGARDE = EnGarde(policies)
+
+
+def _lane_inspect(raw_elf: bytes) -> bytes:
+    return _LANE_ENGARDE.inspect(raw_elf, benchmark="").report.serialize()
+
+
+class PickleLane:
+    """Raw bytes pickled to a process pool, one future per unique binary.
+
+    The executor the shared-memory arena replaced: every payload
+    crosses the pool pipe, which is the tax ``few-huge`` measures.
+    Requests are keyed and deduplicated by
+    :func:`~repro.service.cache_key`, as ``BatchInspector`` does.
+    """
+
+    def __init__(self, policies: PolicyRegistry) -> None:
+        self.policies = policies
+        self.workers = default_workers()
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_lane_init,
+            initargs=(policies,),
+        )
+
+    def inspect_batch(self, corpus: list[tuple[str, bytes]]) -> BatchReport:
+        keys = [cache_key(raw, self.policies) for _, raw in corpus]
+        futures = {}
+        for key, (_, raw) in zip(keys, corpus):
+            if key not in futures:
+                futures[key] = self._pool.submit(_lane_inspect, raw)
+        verdicts = {}
+        for key, future in futures.items():
+            try:
+                wire = future.result()
+                verdicts[key] = (ComplianceReport.deserialize(wire), None)
+            except Exception as exc:  # noqa: BLE001 — per-item isolation
+                verdicts[key] = (None, f"{type(exc).__name__}: {exc}")
+        results = []
+        for index, (key, (label, _)) in enumerate(zip(keys, corpus)):
+            report, error = verdicts[key]
+            results.append(BatchItemResult(
+                index=index, label=label, error=error,
+                report=replace(report, benchmark=label) if report else None,
+            ))
+        return BatchReport(
+            results=results,
+            summary=BatchSummary(
+                total=len(corpus), workers=self.workers, mode="process",
+            ),
+        )
+
+    def arena_stats(self) -> None:
+        return None
+
+    def close(self) -> None:
+        self._pool.shutdown(wait=True)
+
+    def __enter__(self) -> "PickleLane":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+#: executor modes, in differential-oracle order (serial is the oracle):
+#: name -> factory(policies) of a closable inspector
 EXECUTOR_MODES = (
-    ("serial", dict(mode="serial")),
-    ("thread", dict(mode="thread")),
-    ("process-pickle", dict(mode="process", shared_memory=False)),
-    ("process-shm", dict(mode="process", shared_memory=True)),
+    ("serial", lambda pol: BatchInspector(pol, mode="serial", cache=False)),
+    ("thread", lambda pol: BatchInspector(pol, mode="thread", cache=False)),
+    ("process-pickle", lambda pol: PickleLane(pol)),
+    ("process-shm", lambda pol: BatchInspector(
+        pol, mode="process", cache=False,
+    )),
 )
 
 
@@ -205,8 +291,8 @@ def bench_executor_modes(
     for profile, corpus in profiles.items():
         per_mode: dict[str, dict] = {}
         oracle: dict[str, tuple] | None = None
-        for mode_name, kwargs in EXECUTOR_MODES:
-            with BatchInspector(policies, cache=False, **kwargs) as insp:
+        for mode_name, make_inspector in EXECUTOR_MODES:
+            with make_inspector(policies) as insp:
                 # absorb pool spin-up outside the clock: one task per
                 # worker, so no fork/init cost lands in the timed region
                 insp.inspect_batch([
@@ -284,9 +370,7 @@ def _make_daemon(policies: PolicyRegistry, *, clients: int) -> InspectionDaemon:
     # Cache disabled on the inspector: every submission pays full
     # inspection cost, so the ladder measures the executor, not the
     # memoizer (profiles contain deliberate duplicates).
-    inspector = BatchInspector(
-        policies, mode="process", shared_memory=True, cache=False,
-    )
+    inspector = BatchInspector(policies, mode="process", cache=False)
     daemon = InspectionDaemon(
         policies,
         inspector=inspector,
@@ -646,7 +730,7 @@ def test_latency_slo():
     result = run_benchmark(quick=QUICK)
     Path(DEFAULT_OUTPUT).write_text(json.dumps(result, indent=1) + "\n")
     record_table(
-        "Latency SLO soak (zero-copy executor vs pickling oracle):\n"
+        "Latency SLO soak (zero-copy executor vs pickling lane):\n"
         + render_table(result)
     )
     problems = _check_bars(result)

@@ -1,7 +1,7 @@
 """Function-extent parallel inspection of one huge binary.
 
-One binary can never use more than one worker in the per-item batch
-path.  This module splits a single binary's text section along its
+Dispatched whole, one binary can never use more than one worker.
+This module splits a single binary's text section along its
 *function-extent table* (the sorted function-symbol offsets the normal
 pipeline already computes), decodes and policy-scans each extent on a
 separate worker, and merges the per-extent artifacts into one verdict

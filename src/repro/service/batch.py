@@ -42,25 +42,20 @@ objects: the wire form is cheap to pickle and guarantees the batch path
 can be compared byte-for-byte against the sequential baseline (the
 differential tests do exactly that).
 
-Process mode is **zero-copy by default** (``shared_memory=True``):
-binaries are published once into a :class:`~repro.service.shm.SharedArena`
-and workers attach memoryviews straight into the ELF reader and the
-resumable decoder — only a tiny ticket crosses the pickle boundary per
-task.  ``shared_memory=False`` keeps the original pickling submit path
-verbatim, frozen as the differential oracle for the zero-copy executor
-(see ``benchmarks/bench_slo.py``).
+Process mode is **zero-copy**: binaries are published once into a
+:class:`~repro.service.shm.SharedArena` and workers attach memoryviews
+straight into the ELF reader and the resumable decoder — only a tiny
+ticket crosses the pickle boundary per task.
 
-Dispatch granularity is selectable (``scheduler=``): the default
-``"per-item"`` submits one future per unique miss — the historical
-shape, kept verbatim as the differential oracle — while ``"adaptive"``
-routes each miss through :class:`~repro.service.sched.AdaptiveScheduler`:
-tiny binaries run inline on the caller thread, small ones pack into
-micro-batched executor tasks (one future, a vector of per-binary
-tickets and report wires), and huge ones split along their
-function-extent table into parallel scans merged to a bit-identical
-verdict (:mod:`repro.core.extent`).  Either way every verdict crosses
-the same integrity guard, and ``BatchSummary.dispatch`` always carries
-the full :data:`~repro.service.sched.ZERO_SCHED` accounting schema.
+Both pooled modes route every miss through
+:class:`~repro.service.sched.AdaptiveScheduler`: tiny binaries run
+inline on the caller thread, small ones pack into micro-batched
+executor tasks (one future, a vector of per-binary tickets and report
+wires), and huge ones split along their function-extent table into
+parallel scans merged to a bit-identical verdict
+(:mod:`repro.core.extent`).  Every verdict crosses the same integrity
+guard, and ``BatchSummary.dispatch`` always carries the full
+:data:`~repro.service.sched.ZERO_SCHED` accounting schema.
 """
 
 from __future__ import annotations
@@ -69,7 +64,6 @@ import json
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     Future,
@@ -88,19 +82,12 @@ from ..faults.clock import Clock, SystemClock
 from ..faults.hooks import DROP, fault_hook
 from . import shm
 from .cache import CacheKey, InspectionCache, cache_key
-from .sched import SCHEDULERS, ZERO_SCHED, AdaptiveScheduler
+from .sched import ZERO_SCHED, AdaptiveScheduler
 
 __all__ = [
     "BatchInspector", "BatchItemResult", "BatchReport", "BatchSummary",
     "Quarantine", "default_workers",
 ]
-
-#: ``shared_memory=False`` submissions at or above this size pay two
-#: full pickle copies through the pool pipe; the batch warns once and
-#: estimates the penalty in ``BatchSummary.dispatch``
-PICKLE_WARN_BYTES = 1024 * 1024
-#: rough pool-pipe throughput used for that estimate (bytes/second)
-_PICKLE_BYTES_PER_SEC = 1e9
 
 MODES = ("process", "thread", "serial")
 
@@ -140,11 +127,6 @@ def _init_worker(policies: PolicyRegistry) -> None:
     _WORKER_ENGARDE = EnGarde(policies)
 
 
-def _pool_inspect(raw_elf: bytes) -> bytes:
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return _WORKER_ENGARDE.inspect(raw_elf, benchmark="").report.serialize()
-
-
 def _pool_inspect_shm(ticket: shm.ArenaTicket) -> bytes:
     """Zero-copy worker task: only the tiny ticket crossed the pickle
     boundary.  The memoryview feeds the ELF reader and the decoder
@@ -170,7 +152,7 @@ def _fresh_inspect(policies: PolicyRegistry, raw_elf: bytes) -> bytes:
 # binary where an individual failure becomes an ``("err", text)`` entry
 # instead of poisoning its group-mates.  A *whole-group* exception
 # (e.g. an injected ``WorkerCrashError``) propagates through the future
-# and the parent re-runs the members per-item with full retry
+# and the parent re-runs the members one future each with full retry
 # semantics.
 
 
@@ -198,14 +180,6 @@ def _pool_inspect_group_shm(tickets: list) -> tuple:
     return t_begin, time.monotonic(), wires
 
 
-def _pool_inspect_group(raws: list) -> tuple:
-    t_begin = time.monotonic()
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return t_begin, time.monotonic(), _inspect_vector(
-        lambda: _WORKER_ENGARDE, raws
-    )
-
-
 def _fresh_inspect_group(policies: PolicyRegistry, raws: list) -> tuple:
     t_begin = time.monotonic()
     fault_hook("service.batch.worker", error=WorkerCrashError)
@@ -216,7 +190,7 @@ def _fresh_inspect_group(policies: PolicyRegistry, raws: list) -> tuple:
 
 # Extent-scan tasks: one future per extent of a huge binary.  The scan
 # is meter-free by construction (repro.core.extent); the parent replays
-# the charges during the merge.  Zero-copy path: ONE retained ticket is
+# the charges during the merge.  Process mode: ONE retained ticket is
 # shared by every extent task of the same binary.
 
 
@@ -227,11 +201,6 @@ def _pool_scan_extent_shm(ticket: shm.ArenaTicket, task: dict):
         return scan_extent(view, _WORKER_ENGARDE.policies, task)
     finally:
         view.release()
-
-
-def _pool_scan_extent(raw_elf: bytes, task: dict):
-    fault_hook("service.batch.worker", error=WorkerCrashError)
-    return scan_extent(raw_elf, _WORKER_ENGARDE.policies, task)
 
 
 def _fresh_scan_extent(policies: PolicyRegistry, raw_elf: bytes, task: dict):
@@ -266,24 +235,30 @@ class Quarantine:
         return count >= self.threshold
 
     def record_success(self, key: CacheKey) -> None:
-        self._failures.pop(key, None)
+        with self._lock:
+            self._failures.pop(key, None)
 
     def is_quarantined(self, key: CacheKey) -> bool:
-        return self._failures.get(key, 0) >= self.threshold
+        return self.failures(key) >= self.threshold
 
     def failures(self, key: CacheKey) -> int:
-        return self._failures.get(key, 0)
+        with self._lock:
+            return self._failures.get(key, 0)
 
     def release(self, key: CacheKey) -> None:
         """Forget a key's failures so the next submission runs again."""
-        self._failures.pop(key, None)
+        self.record_success(key)
 
     def clear(self) -> None:
-        self._failures.clear()
+        with self._lock:
+            self._failures.clear()
 
     def __len__(self) -> int:
         """Number of currently quarantined keys."""
-        return sum(1 for c in self._failures.values() if c >= self.threshold)
+        with self._lock:
+            return sum(
+                1 for c in self._failures.values() if c >= self.threshold
+            )
 
 
 # ----------------------------------------------------------------- results
@@ -408,25 +383,22 @@ class BatchInspector:
         capped at 8).
     mode:
         ``"process"`` (default, real parallelism for the CPU-bound
-        pipeline), ``"thread"`` (useful when the cache absorbs most
-        requests), or ``"serial"`` (no pool — the differential baseline).
-    shared_memory:
-        In ``process`` mode (default on), publish binaries into a
-        :class:`~repro.service.shm.SharedArena` and hand workers
-        zero-copy tickets instead of pickling the raw bytes through the
-        pool pipe.  ``False`` keeps the original pickling submit path —
-        the differential oracle for the zero-copy executor (and the
-        safe fallback where ``/dev/shm`` is unavailable).  Ignored in
-        ``thread``/``serial`` modes, which never cross a process
-        boundary.
+        pipeline; binaries reach workers through a zero-copy
+        :class:`~repro.service.shm.SharedArena`), ``"thread"`` (useful
+        when the cache absorbs most requests), or ``"serial"`` (no pool
+        — the differential baseline).  Both pooled modes dispatch
+        through the :class:`~repro.service.sched.AdaptiveScheduler`
+        (inline / micro-batch / extent-split).
     cache:
         An :class:`InspectionCache` to share across inspectors, ``None``
         to create a private one, or ``False`` to disable caching.
     timeout:
         Per-binary seconds to wait for a pooled verdict, measured from
         when the batch starts collecting that binary's result; ``None``
-        waits forever.  Ignored in ``serial`` mode.  Pool timeouts are
-        final (the worker slot is gone) — they are not retried.
+        waits forever.  Ignored in ``serial`` mode and for binaries the
+        scheduler inlines.  A binary's own pool timeout is final (the
+        worker slot is gone) — it is not retried; a micro-batch that
+        times out re-runs its members one future each.
     retries:
         Extra attempts per unique miss after a failed inspection
         (default 0 — identical behaviour to the pre-resilience service).
@@ -440,13 +412,6 @@ class BatchInspector:
     quarantine_threshold:
         Consecutive failures before a binary is quarantined; ``None``
         disables the quarantine.
-    scheduler:
-        ``"per-item"`` (default — one future per unique miss, the
-        frozen differential oracle) or ``"adaptive"`` (inline /
-        micro-batch / extent-split dispatch per the
-        :class:`~repro.service.sched.AdaptiveScheduler` cost model;
-        honors the ``REPRO_SCHED_*`` environment knobs).  Ignored in
-        ``serial`` mode, which never dispatches.
     clock:
         Time source for backoff/deadline/quarantine decisions — pass a
         :class:`~repro.faults.clock.FakeClock` (shared with the active
@@ -459,7 +424,6 @@ class BatchInspector:
         *,
         workers: int | None = None,
         mode: str = "process",
-        shared_memory: bool = True,
         cache: InspectionCache | None | bool = None,
         cache_capacity: int = 1024,
         timeout: float | None = None,
@@ -468,14 +432,9 @@ class BatchInspector:
         deadline: float | None = None,
         quarantine_threshold: int | None = None,
         clock: Clock | None = None,
-        scheduler: str = "per-item",
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
-            )
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         if retries < 0:
@@ -497,18 +456,10 @@ class BatchInspector:
         if workers is None:
             workers = default_workers()
         self.workers = 1 if mode == "serial" else workers
-        self.shared_memory = bool(shared_memory) and mode == "process"
-        self.scheduler = scheduler
-        #: the cost model is built eagerly so bad REPRO_SCHED_* knobs
-        #: fail at construction, mirroring REPRO_WORKERS validation
-        self._sched = (
-            AdaptiveScheduler(workers=self.workers)
-            if scheduler == "adaptive" else None
-        )
+        self._sched = AdaptiveScheduler(workers=self.workers)
         #: per-thread EnGarde for the inline lane (daemon handler
         #: threads run inspect_batch concurrently through one inspector)
         self._inline_local = threading.local()
-        self._pickle_warned = False
         if cache is False:
             self.cache: InspectionCache | None = None
         elif cache is None or cache is True:
@@ -558,12 +509,6 @@ class BatchInspector:
         """Lifetime arena counters, or ``None`` before first zero-copy use."""
         with self._lifecycle:
             return self._arena.stats() if self._arena is not None else None
-
-    def _submit(self, raw_elf: bytes) -> Future:
-        executor = self._ensure_executor()
-        if self.mode == "process":
-            return executor.submit(_pool_inspect, raw_elf)
-        return executor.submit(_fresh_inspect, self.policies, raw_elf)
 
     def _teardown_arena(self) -> None:
         """Release straggler tickets and unlink the arena (fail-closed:
@@ -655,40 +600,13 @@ class BatchInspector:
                 continue
             misses.setdefault(key, []).append(i)
 
-        # Pass 2: run the unique misses (pooled, adaptive, or inline).
+        # Pass 2: run the unique misses (serially, or through the pool's
+        # adaptive lanes).
         dispatch = dict(ZERO_SCHED)
-        dispatch["scheduler"] = self.scheduler
-        if self.mode == "process" and not self.shared_memory:
-            # few-huge pickle cliff: every byte crosses the pool pipe
-            # twice (submit + fork inheritance is not in play for the
-            # payload).  Warn once, and surface the estimated penalty.
-            big = sum(
-                len(items[idxs[0]][1])
-                for idxs in misses.values()
-                if len(items[idxs[0]][1]) >= PICKLE_WARN_BYTES
-            )
-            if big:
-                dispatch["pickle_penalty_seconds"] = round(
-                    2 * big / _PICKLE_BYTES_PER_SEC, 6
-                )
-                if not self._pickle_warned:
-                    self._pickle_warned = True
-                    warnings.warn(
-                        f"shared_memory=False with {big} bytes of large "
-                        "submissions: each crosses the pool pipe twice "
-                        "(estimated penalty "
-                        f"{dispatch['pickle_penalty_seconds']}s); enable "
-                        "shared_memory for zero-copy dispatch",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
         if self.mode == "serial" or self._degraded:
             verdicts = self._run_serial(items, misses)
-        elif self.scheduler == "adaptive":
-            verdicts = self._run_adaptive(items, misses, dispatch)
         else:
-            verdicts = self._run_pooled(items, misses)
-            dispatch["futures_submitted"] = len(misses)
+            verdicts = self._run_adaptive(items, misses, dispatch)
         summary.dispatch = dispatch
 
         # Pass 3: verify verdict integrity, fan verdicts back out to every
@@ -831,26 +749,26 @@ class BatchInspector:
                 clock.sleep(self.backoff_base * (2 ** (tries - 1)))
 
     def _run_pooled(self, items, misses):
-        """Fan unique misses out over the pool; collect with per-binary
-        timeout, retry-with-backoff, and exception isolation.  A broken
-        pool (or a refused arena) degrades the remaining misses — and
-        all future batches — to serial execution instead of failing the
-        batch.
+        """Fan unique misses out over the pool, one future each; collect
+        with per-binary timeout, retry-with-backoff, and exception
+        isolation.  The adaptive path sends here the micro-batch
+        members that crashed or erred.  A broken pool (or a refused
+        arena) degrades the remaining misses — and all future batches —
+        to serial execution instead of failing the batch.
 
-        Zero-copy path (``shared_memory``): each unique miss is
-        published into the arena exactly once; retries resubmit the
-        same ticket.  A ticket is released as soon as its verdict is
-        final — except after a pool *timeout*, where the worker may
-        still be reading the slot: those tickets park on the zombie
-        list and are only freed once the pool has shut down, so a slot
-        is never rewritten under a live reader.
+        Process mode: each unique miss is published into the arena
+        exactly once; retries resubmit the same ticket.  A ticket is
+        released as soon as its verdict is final — except after a pool
+        *timeout*, where the worker may still be reading the slot: those
+        tickets park on the zombie list and are only freed once the pool
+        has shut down, so a slot is never rewritten under a live reader.
         """
         verdicts: dict[CacheKey, tuple[bytes | None, str | None]] = {}
         pending = dict(misses)
         starts: dict[CacheKey, float] = {}
         tries = {key: 0 for key in misses}
         tickets: dict[CacheKey, shm.ArenaTicket] = {}
-        use_shm = self.shared_memory
+        use_shm = self.mode == "process"
 
         def settle(key, *, zombie: bool = False) -> None:
             ticket = tickets.pop(key, None)
@@ -887,7 +805,9 @@ class BatchInspector:
                             _pool_inspect_shm, ticket
                         )
                     else:
-                        futures[key] = self._submit(raw)
+                        futures[key] = self._ensure_executor().submit(
+                            _fresh_inspect, self.policies, raw
+                        )
                 except (BrokenExecutor, ArenaError):
                     return abandon()
             retry_next: dict[CacheKey, list[int]] = {}
@@ -955,18 +875,18 @@ class BatchInspector:
         Ordering is chosen for overlap: micro-batch groups are submitted
         first so pool workers chew while the caller thread runs the
         inline lane, then huge binaries extent-split across the same
-        pool, and group results are collected last.  Items that error
-        *inside* a micro-batch re-run through the frozen per-item path
-        with its full retry/deadline semantics, so terminal error text
-        is identical between schedulers.  A broken pool degrades exactly
-        as the per-item path does: in-flight tickets go to the zombie
-        list and every unsettled miss re-runs serially.
+        pool, and group results are collected last.  Members of a
+        micro-batch that errs, crashes or times out re-run one future
+        each with full retry/deadline/timeout semantics
+        (:meth:`_run_pooled`), so terminal error text matches the serial
+        path and a timeout marks only the binary that hung.  A broken
+        pool degrades: in-flight tickets go to the zombie list and every
+        unsettled miss re-runs serially.
         """
         sched = self._sched
         verdicts: dict[CacheKey, tuple[bytes | None, str | None]] = {}
         raw_of = {key: items[indices[0]][1] for key, indices in misses.items()}
         plan = sched.plan([(key, len(raw)) for key, raw in raw_of.items()])
-        use_shm = self.shared_memory
         remainder: list[CacheKey] = []
 
         def degrade_rest(group_state):
@@ -984,14 +904,10 @@ class BatchInspector:
             raws = [raw_of[k] for k in group]
             tickets: list[shm.ArenaTicket] = []
             try:
-                if use_shm:
+                if self.mode == "process":
                     tickets = shm.publish_many(self._ensure_arena(), raws)
                     future = self._ensure_executor().submit(
                         _pool_inspect_group_shm, tickets
-                    )
-                elif self.mode == "process":
-                    future = self._ensure_executor().submit(
-                        _pool_inspect_group, raws
                     )
                 else:
                     future = self._ensure_executor().submit(
@@ -1002,11 +918,18 @@ class BatchInspector:
                     {"keys": group, "future": None, "tickets": tickets}
                 )
                 return degrade_rest(group_state)
-            group_state.append({
+            state = {
                 "keys": group, "future": future, "tickets": tickets,
                 "bytes": sum(len(r) for r in raws),
                 "submitted": time.monotonic(),
-            })
+            }
+            # stamp completion as it happens: the caller collects only
+            # after its inline and split work, and that wait is not
+            # dispatch overhead
+            future.add_done_callback(
+                lambda _, s=state: s.setdefault("done", time.monotonic())
+            )
+            group_state.append(state)
         dispatch["futures_submitted"] += len(group_state)
 
         # 2. inline lane on the caller thread (overlaps with the pool)
@@ -1033,6 +956,8 @@ class BatchInspector:
             verdicts[key] = outcome
 
         # 4. collect micro-batch groups
+        overheads: list[float] = []
+        queue_wait = 0.0
         for state in group_state:
             keys, future = state["keys"], state["future"]
             tickets = state["tickets"]
@@ -1042,14 +967,13 @@ class BatchInspector:
                 future.cancel()
                 # zombie-ticket handling: the hung worker may still be
                 # attached to every slot in this group — park them all
-                # until the pool is torn down
+                # until the pool is torn down.  The timeout is per
+                # binary and a group timeout cannot say which member
+                # hung: every member re-runs on its own future.
                 with self._lifecycle:
                     self._zombie_tickets.extend(tickets)
                 state["tickets"] = []
-                for k in keys:
-                    verdicts[k] = (
-                        None, f"inspection exceeded {self.timeout}s timeout",
-                    )
+                remainder.extend(keys)
                 continue
             except BrokenExecutor:
                 return degrade_rest(group_state)
@@ -1058,16 +982,16 @@ class BatchInspector:
                 state["tickets"] = []
                 remainder.extend(keys)
                 continue
-            received = time.monotonic()
+            received = state.get("done") or time.monotonic()
             self._release_tickets(tickets)
             state["tickets"] = []
             if len(wires) != len(keys):  # defensive: torn vector
                 remainder.extend(keys)
                 continue
-            sched.observe_dispatch(
-                overhead=(received - state["submitted"]) - (t_end - t_begin),
-                queue_wait=t_begin - state["submitted"],
+            overheads.append(
+                (received - state["submitted"]) - (t_end - t_begin)
             )
+            queue_wait += t_begin - state["submitted"]
             sched.observe_work(state["bytes"], t_end - t_begin)
             dispatch["micro_batches"] += 1
             for k, wire in zip(keys, wires):
@@ -1076,9 +1000,15 @@ class BatchInspector:
                 else:
                     verdicts[k] = (wire, None)
                     dispatch["micro_batched"] += 1
+        # one overhead sample per batch, from the least-queued group:
+        # the others also waited behind their group-mates for a worker
+        if overheads:
+            sched.observe_dispatch(
+                overhead=min(overheads), queue_wait=queue_wait,
+            )
 
-        # 5. group members that crashed or erred re-run through the
-        #    frozen per-item path (full retry/deadline semantics)
+        # 5. group members that crashed, erred or timed out re-run one
+        #    future each (full retry/deadline/timeout semantics)
         if remainder:
             rem = {k: misses[k] for k in remainder}
             verdicts.update(self._run_pooled(items, rem))
@@ -1098,32 +1028,26 @@ class BatchInspector:
     def _split_one(self, raw, dispatch):
         """Extent-split one huge binary over the pool; fail closed.
 
-        Returns a ``(wire, error)`` verdict or :data:`_DEGRADE`.  The
-        zero-copy path publishes **one** ticket shared by every extent
-        task.  Any scan failure is final — a typed error, never a
-        partial verdict and never a silent serial retry — because the
-        remaining scan futures cannot be recalled once dispatched.  The
-        ticket joins the zombie list on every non-clean exit, since a
-        straggling scan worker may still be attached to the slot.
+        Returns a ``(wire, error)`` verdict or :data:`_DEGRADE`.  Process
+        mode publishes **one** ticket shared by every extent task.  Any
+        scan failure is final — a typed error, never a partial verdict
+        and never a silent serial retry — because the remaining scan
+        futures cannot be recalled once dispatched.  The ticket joins
+        the zombie list on every non-clean exit, since a straggling scan
+        worker may still be attached to the slot.
         """
         engarde = EnGarde(self.policies)
-        use_shm = self.shared_memory
         state = {"ticket": None, "zombie": False}
 
         def run_scans(tasks):
             executor = self._ensure_executor()
             futures = []
-            if use_shm:
+            if self.mode == "process":
                 ticket = self._ensure_arena().publish(raw)
                 state["ticket"] = ticket
                 for task in tasks:
                     futures.append(
                         executor.submit(_pool_scan_extent_shm, ticket, task)
-                    )
-            elif self.mode == "process":
-                for task in tasks:
-                    futures.append(
-                        executor.submit(_pool_scan_extent, raw, task)
                     )
             else:
                 for task in tasks:

@@ -137,7 +137,6 @@ class InspectionDaemon:
         inspector: BatchInspector | None = None,
         inspector_mode: str = "serial",
         workers: int | None = None,
-        shared_memory: bool = True,
         cache: InspectionCache | None = None,
         verdict_cache: ProvisioningVerdictCache | None = None,
         pool: EnclavePool | None = None,
@@ -151,7 +150,6 @@ class InspectionDaemon:
         retries: int = 0,
         deadline: float | None = None,
         quarantine_threshold: int | None = None,
-        scheduler: str = "per-item",
         clock: Clock | None = None,
         rng: HmacDrbg | None = None,
         metrics: DaemonMetrics | None = None,
@@ -185,13 +183,11 @@ class InspectionDaemon:
             policies,
             mode=inspector_mode,
             workers=workers,
-            shared_memory=shared_memory,
             cache=self.cache,
             retries=retries,
             deadline=deadline,
             quarantine_threshold=quarantine_threshold,
             clock=self.clock,
-            scheduler=scheduler,
         )
         if inspector is not None and inspector.cache is not None:
             self.cache = inspector.cache
@@ -222,7 +218,6 @@ class InspectionDaemon:
         #: cumulative dispatch accounting merged from every batch this
         #: daemon ran — always the full ``ZERO_SCHED`` key set
         self._dispatch_totals = dict(ZERO_SCHED)
-        self._dispatch_totals["scheduler"] = self.inspector.scheduler
         self._dispatch_lock = threading.Lock()
         self._started_at = time.monotonic()
 

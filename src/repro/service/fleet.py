@@ -208,7 +208,6 @@ class FleetCoordinator:
         clock: Clock | None = None,
         inspector_mode: str = "serial",
         workers: int | None = None,
-        scheduler: str = "per-item",
     ) -> None:
         if shards < 1:
             raise FleetError(f"fleet needs at least one shard, got {shards}")
@@ -244,7 +243,6 @@ class FleetCoordinator:
                 max_connections=max_connections,
                 inspector_mode=inspector_mode,
                 workers=workers,
-                scheduler=scheduler,
                 shard_id=shard_id,
                 shard_index=index,
                 fleet_size=shards,
@@ -458,7 +456,6 @@ class FleetCoordinator:
         totals = dict(ZERO_SCHED)
         for _, shard in sorted(self.shards.items()):
             block = shard.daemon.sched_info()
-            totals["scheduler"] = block["scheduler"]
             for key, value in block.items():
                 if isinstance(value, bool) or not isinstance(
                     value, (int, float)

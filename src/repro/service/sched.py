@@ -19,36 +19,25 @@ running size/cost model:
     dispatching can only lose.
 ``micro-batch``
     pack many small binaries into one executor task targeting
-    ``microbatch_bytes`` of payload per task; tickets stay per-binary
-    in the :class:`~repro.service.shm.SharedArena` and one task returns
-    a vector of frozen report wires.
+    :data:`DEFAULT_MICROBATCH_BYTES` of payload per task; tickets stay
+    per-binary in the :class:`~repro.service.shm.SharedArena` and one
+    task returns a vector of frozen report wires.
 ``extent-split``
-    partition one huge binary's text section along its function-extent
-    table and decode+scan extents on separate workers
-    (:mod:`repro.core.extent`), merging to a bit-identical verdict.
+    partition one huge binary's text section (at least
+    :data:`DEFAULT_SPLIT_BYTES`) along its function-extent table and
+    decode+scan extents on separate workers (:mod:`repro.core.extent`),
+    merging to a bit-identical verdict.
 
 The cost model is deliberately simple and observable: two EMAs (seconds
-per payload byte; seconds of per-future overhead) seeded from
-environment knobs and updated from every completed future.  All
+per payload byte; seconds of per-future overhead, seeded from
+:data:`DEFAULT_BREAKEVEN_US`) updated from completed futures.  All
 estimates, decisions, and measurements surface in the always-present
 ``BatchSummary.dispatch`` block (schema :data:`ZERO_SCHED`), so the
 daemon's STATUS/METRICS consumers never need schema probes.
-
-Environment knobs (validated like ``REPRO_WORKERS``):
-
-``REPRO_SCHED_MICROBATCH_BYTES``
-    payload target per micro-batch task (default 262144).
-``REPRO_SCHED_SPLIT_BYTES``
-    text-size threshold above which a binary is considered for
-    extent-splitting (default 1048576).
-``REPRO_SCHED_BREAKEVEN_US``
-    seed estimate of per-future dispatch overhead in microseconds
-    before any measurement exists (default 500).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -59,13 +48,14 @@ __all__ = [
     "DEFAULT_MICROBATCH_BYTES",
     "DEFAULT_SPLIT_BYTES",
     "DEFAULT_BREAKEVEN_US",
-    "SCHEDULERS",
 ]
 
-SCHEDULERS = ("per-item", "adaptive")
-
+#: payload target per micro-batch task
 DEFAULT_MICROBATCH_BYTES = 256 * 1024
+#: size at or above which a binary is considered for extent-splitting
 DEFAULT_SPLIT_BYTES = 1024 * 1024
+#: seed estimate of per-future dispatch overhead, in microseconds,
+#: before any measurement exists
 DEFAULT_BREAKEVEN_US = 500
 
 #: seed for the seconds-per-byte cost EMA before any observation
@@ -80,7 +70,6 @@ _ALPHA = 0.2
 #: key existing in every summary, zeroed when the scheduler did nothing
 #: — the same contract as ``ZERO_RESILIENCE`` / ``ZERO_SHARD``.
 ZERO_SCHED = {
-    "scheduler": "per-item",
     "futures_submitted": 0,
     "inlined": 0,
     "micro_batched": 0,
@@ -90,24 +79,7 @@ ZERO_SCHED = {
     "split_fallbacks": 0,
     "queue_wait_seconds": 0.0,
     "break_even_seconds": 0.0,
-    "pickle_penalty_seconds": 0.0,
 }
-
-
-def _env_bytes(name: str, default: int) -> int:
-    """Parse a positive integer knob exactly like ``REPRO_WORKERS``."""
-    env = os.environ.get(name)
-    if env is None or not env.strip():
-        return default
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a positive integer, got {env!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 @dataclass
@@ -131,38 +103,13 @@ class AdaptiveScheduler:
     requests and observations may interleave.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int,
-        microbatch_bytes: int | None = None,
-        split_bytes: int | None = None,
-        breakeven_us: int | None = None,
-    ) -> None:
+    def __init__(self, *, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.microbatch_bytes = (
-            _env_bytes("REPRO_SCHED_MICROBATCH_BYTES", DEFAULT_MICROBATCH_BYTES)
-            if microbatch_bytes is None else microbatch_bytes
-        )
-        self.split_bytes = (
-            _env_bytes("REPRO_SCHED_SPLIT_BYTES", DEFAULT_SPLIT_BYTES)
-            if split_bytes is None else split_bytes
-        )
-        seed_us = (
-            _env_bytes("REPRO_SCHED_BREAKEVEN_US", DEFAULT_BREAKEVEN_US)
-            if breakeven_us is None else breakeven_us
-        )
-        if self.microbatch_bytes < 1:
-            raise ValueError("microbatch_bytes must be >= 1")
-        if self.split_bytes < 1:
-            raise ValueError("split_bytes must be >= 1")
-        if seed_us < 1:
-            raise ValueError("breakeven_us must be >= 1")
         self._lock = threading.Lock()
         self._cost_per_byte = _SEED_COST_PER_BYTE
-        self._overhead = seed_us * 1e-6
+        self._overhead = DEFAULT_BREAKEVEN_US * 1e-6
         self._queue_wait_total = 0.0
         self._observations = 0
 
@@ -196,12 +143,16 @@ class AdaptiveScheduler:
         """Partition ``[(key, nbytes), ...]`` misses into a dispatch plan.
 
         Submission order is preserved within each lane so verdict
-        fan-out stays deterministic.
+        fan-out stays deterministic.  With one worker nothing splits
+        either: every miss inlines.  A micro-batch closes before the
+        member that would take it past the payload target, so a binary
+        at or above the target travels alone instead of serializing
+        its group-mates behind it on one worker.
         """
         plan = DispatchPlan()
         batchable: list = []
         for key, nbytes in sized:
-            if nbytes >= self.split_bytes:
+            if nbytes >= DEFAULT_SPLIT_BYTES and self.workers > 1:
                 plan.split.append(key)
             elif self.should_inline(nbytes):
                 plan.inline.append(key)
@@ -210,11 +161,11 @@ class AdaptiveScheduler:
         group: list = []
         group_bytes = 0
         for key, nbytes in batchable:
-            group.append(key)
-            group_bytes += nbytes
-            if group_bytes >= self.microbatch_bytes:
+            if group and group_bytes + nbytes > DEFAULT_MICROBATCH_BYTES:
                 plan.groups.append(group)
                 group, group_bytes = [], 0
+            group.append(key)
+            group_bytes += nbytes
         if group:
             plan.groups.append(group)
         return plan
@@ -231,7 +182,7 @@ class AdaptiveScheduler:
             self._observations += 1
 
     def observe_dispatch(self, overhead: float, queue_wait: float) -> None:
-        """Fold one future's measured round-trip overhead into the EMA."""
+        """Fold one measured per-future overhead sample into the EMA."""
         with self._lock:
             if overhead > 0:
                 self._overhead += _ALPHA * (overhead - self._overhead)
@@ -249,7 +200,7 @@ class AdaptiveScheduler:
                 "queue_wait_seconds": self._queue_wait_total,
                 "cost_per_byte": self._cost_per_byte,
                 "observations": self._observations,
-                "microbatch_bytes": self.microbatch_bytes,
-                "split_bytes": self.split_bytes,
+                "microbatch_bytes": DEFAULT_MICROBATCH_BYTES,
+                "split_bytes": DEFAULT_SPLIT_BYTES,
                 "workers": self.workers,
             }

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -142,6 +144,51 @@ def test_quarantine_validates_threshold():
     assert len(q) == 1
     q.clear()
     assert len(q) == 0
+
+
+def test_quarantine_accessors_are_thread_safe():
+    """``len()`` runs on every batch (``resilience_stats``) while other
+    daemon threads record failures and releases: counting must never
+    see the ledger change size mid-iteration."""
+    q = Quarantine(1)
+    for i in range(5_000):
+        q.record_failure(("seed", str(i)))
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def churn(tag: str) -> None:
+        i = 0
+        while not stop.is_set():
+            key = (tag, str(i % 64))
+            q.record_failure(key)
+            q.release(key)
+            i += 1
+
+    def count() -> None:
+        try:
+            for _ in range(300):
+                len(q)
+        except BaseException as exc:  # noqa: BLE001 — reported below
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=churn, args=("a",)),
+            threading.Thread(target=churn, args=("b",)),
+            threading.Thread(target=count),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not errors, errors
+    assert len(q) == 5_000
 
 
 # --------------------------------------------- error-path cache bug

@@ -1,19 +1,21 @@
-"""Adaptive scheduler: plan selection, knobs, and wire-exact dispatch.
+"""Adaptive scheduler: plan selection and wire-exact dispatch.
 
-The contract: ``scheduler="adaptive"`` may change *how* verdicts are
-produced (inline / micro-batch / extent-split) but never *what* they
-are — every report wire and terminal error class matches the frozen
-``scheduler="per-item"`` oracle, and all dispatch activity surfaces in
-the always-present ``BatchSummary.dispatch`` block (``ZERO_SCHED``
-schema, pinned here like ``ZERO_RESILIENCE`` / ``ZERO_SHARD``).
+The contract: the pooled modes' adaptive dispatch may change *how*
+verdicts are produced (inline / micro-batch / extent-split) but never
+*what* they are — every report wire and terminal error class matches
+the ``mode="serial"`` oracle, and all dispatch activity surfaces in the
+always-present ``BatchSummary.dispatch`` block (``ZERO_SCHED`` schema,
+pinned here like ``ZERO_RESILIENCE`` / ``ZERO_SHARD``).
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+import repro.service.sched as sched_mod
 from repro.faults import FakeClock, FaultPlan, FaultSpec, injected
 from repro.service import BatchInspector
 from repro.service.corpus import generate_variant_corpus
@@ -48,6 +50,11 @@ def small_corpus(libc):
     return generate_variant_corpus(12, libc=libc)
 
 
+def _force_split(monkeypatch, raw):
+    """Lower the split threshold so *raw* takes the extent-split lane."""
+    monkeypatch.setattr(sched_mod, "DEFAULT_SPLIT_BYTES", len(raw))
+
+
 def _wires(report):
     return [
         (r.label, r.report.serialize() if r.report else None, r.error)
@@ -60,9 +67,11 @@ def _wires(report):
 
 def test_single_worker_inlines_everything():
     sched = AdaptiveScheduler(workers=1)
-    plan = sched.plan([("a", 100), ("b", 50_000), ("c", 200_000)])
+    plan = sched.plan([
+        ("a", 100), ("b", 50_000), ("c", 200_000), ("d", DEFAULT_SPLIT_BYTES),
+    ])
     # dispatching can never pay for itself with nobody to parallelize to
-    assert plan.inline == ["a", "b", "c"]
+    assert plan.inline == ["a", "b", "c", "d"]
     assert not plan.groups and not plan.split
 
 
@@ -79,11 +88,20 @@ def test_micro_batches_target_payload_bytes():
     sized = [(f"k{i}", item_bytes) for i in range(12)]
     plan = sched.plan(sized)
     assert not plan.split
-    # groups pack to >= the target (except possibly the last)
+    # groups pack up to the target (except possibly the last)
     assert all(len(g) == 4 for g in plan.groups[:-1])
     assert [k for g in plan.groups for k in g] + plan.inline == [
         k for k, _ in sized
     ]
+
+
+def test_micro_batch_never_packs_past_the_target():
+    """A binary bigger than the remaining room starts a new group: two
+    mid-size binaries and a large one (the sizes of bzip2, mcf and
+    graph500 at scale 1.0) become two futures, not one."""
+    sched = AdaptiveScheduler(workers=2)
+    plan = sched.plan([("a", 122_536), ("b", 68_128), ("c", 525_192)])
+    assert plan.groups == [["a", "b"], ["c"]]
 
 
 def test_cost_feedback_moves_the_break_even():
@@ -97,78 +115,79 @@ def test_cost_feedback_moves_the_break_even():
     assert sched.should_inline(10_000)
 
 
-# ------------------------------------------------------------ env knobs
-
-
-def test_env_knobs_validated_like_repro_workers(monkeypatch, all_policies):
-    monkeypatch.setenv("REPRO_SCHED_MICROBATCH_BYTES", "not-a-number")
-    with pytest.raises(ValueError, match="REPRO_SCHED_MICROBATCH_BYTES"):
-        BatchInspector(all_policies, mode="process", scheduler="adaptive")
-    monkeypatch.setenv("REPRO_SCHED_MICROBATCH_BYTES", "0")
-    with pytest.raises(ValueError, match=">= 1"):
-        BatchInspector(all_policies, mode="process", scheduler="adaptive")
-    monkeypatch.setenv("REPRO_SCHED_MICROBATCH_BYTES", "65536")
-    monkeypatch.setenv("REPRO_SCHED_SPLIT_BYTES", "262144")
-    monkeypatch.setenv("REPRO_SCHED_BREAKEVEN_US", "250")
-    inspector = BatchInspector(
-        all_policies, mode="process", scheduler="adaptive"
-    )
-    assert inspector._sched.microbatch_bytes == 65536
-    assert inspector._sched.split_bytes == 262144
-    assert inspector._sched.break_even_seconds == pytest.approx(250e-6)
-    inspector.close()
-
-
-def test_unknown_scheduler_rejected(all_policies):
-    with pytest.raises(ValueError, match="scheduler"):
-        BatchInspector(all_policies, scheduler="psychic")
-
-
 # ------------------------------------------------- differential battery
 
 
-@pytest.mark.parametrize("mode,shm", [
-    ("process", True), ("process", False), ("thread", True),
-])
-def test_adaptive_matches_per_item_oracle(
-    all_policies, small_corpus, mode, shm
+@pytest.fixture(scope="module")
+def serial_oracle(all_policies, small_corpus, big_elf):
+    """Serial wires for the variant corpus plus the huge binary."""
+    corpus = small_corpus + [("huge", big_elf)]
+    with BatchInspector(all_policies, mode="serial", cache=False) as serial:
+        return corpus, _wires(serial.inspect_batch(corpus))
+
+
+@pytest.mark.parametrize("mode", ["process", "thread"])
+def test_pooled_modes_match_serial_oracle(
+    monkeypatch, all_policies, serial_oracle, big_elf, mode
 ):
-    """Full variant corpus, both schedulers, every executor flavour:
-    report wires are byte-identical and error labels agree."""
+    """Full variant corpus plus a forced-split huge binary through each
+    pooled mode: report wires are byte-identical to the serial oracle
+    and error labels agree."""
+    corpus, expected = serial_oracle
+    _force_split(monkeypatch, big_elf)
     with BatchInspector(
-        all_policies, mode=mode, workers=2, shared_memory=shm, cache=False,
-    ) as per_item:
-        expected = _wires(per_item.inspect_batch(small_corpus))
-    with BatchInspector(
-        all_policies, mode=mode, workers=2, shared_memory=shm, cache=False,
-        scheduler="adaptive",
-    ) as adaptive:
-        report = adaptive.inspect_batch(small_corpus)
+        all_policies, mode=mode, workers=2, cache=False,
+    ) as pooled:
+        report = pooled.inspect_batch(corpus)
     assert _wires(report) == expected
     d = report.summary.dispatch
-    assert d["scheduler"] == "adaptive"
-    assert d["inlined"] + d["micro_batched"] + d["extent_split"] > 0
+    assert d["inlined"] + d["micro_batched"] > 0
+    assert d["extent_split"] >= 1
 
 
 def test_adaptive_split_lane_matches_oracle(
     monkeypatch, all_policies, big_elf
 ):
     """Force the extent-split lane (tiny split threshold) and hold the
-    verdict wire identical to the per-item oracle."""
+    verdict wire identical to the serial oracle."""
+    with BatchInspector(all_policies, mode="serial", cache=False) as serial:
+        expected = _wires(serial.inspect_batch([("x", big_elf)]))
+    _force_split(monkeypatch, big_elf)
     with BatchInspector(
         all_policies, mode="process", workers=2, cache=False,
-    ) as per_item:
-        expected = _wires(per_item.inspect_batch([("x", big_elf)]))
-    monkeypatch.setenv("REPRO_SCHED_SPLIT_BYTES", str(len(big_elf)))
-    with BatchInspector(
-        all_policies, mode="process", workers=2, cache=False,
-        scheduler="adaptive",
     ) as adaptive:
         report = adaptive.inspect_batch([("x", big_elf)])
     assert _wires(report) == expected
     d = report.summary.dispatch
     assert d["extent_split"] == 1
     assert d["extents_scanned"] >= 2
+
+
+def test_dispatch_overhead_excludes_the_callers_inline_work(
+    monkeypatch, all_policies, good_elf
+):
+    """A group finishes while the caller is still busy on the inline
+    lane.  That wait is not dispatch overhead: folded into the
+    break-even it would push every later miss inline for good, since
+    inlined work never measures a future again."""
+    from repro.core.engarde import EnGarde
+
+    tiny = b"\x7fELF" + bytes(60)  # rejected fast; inlines at the seed
+    original = EnGarde.inspect
+
+    def slow_tiny(self, raw_elf, *, benchmark="client"):
+        if bytes(raw_elf) == tiny:
+            time.sleep(0.3)
+        return original(self, raw_elf, benchmark=benchmark)
+
+    monkeypatch.setattr(EnGarde, "inspect", slow_tiny)
+    with BatchInspector(
+        all_policies, mode="thread", workers=2, cache=False,
+    ) as inspector:
+        report = inspector.inspect_batch([("g", good_elf), ("t", tiny)])
+        d = report.summary.dispatch
+        assert d["micro_batches"] == 1 and d["inlined"] == 1
+        assert inspector._sched.break_even_seconds < 0.03
 
 
 # --------------------------------------------------- timeouts / zombies
@@ -184,7 +203,7 @@ def test_timed_out_micro_batch_zombies_every_ticket(all_policies, libc):
     ]
     inspector = BatchInspector(
         all_policies, mode="process", workers=2, cache=False,
-        scheduler="adaptive", timeout=1e-6,
+        timeout=1e-6,
     )
     report = inspector.inspect_batch(corpus)
     for item in report.results:
@@ -212,7 +231,7 @@ def test_extent_worker_fault_fails_the_verdict_closed(
     must fail the whole verdict with a typed error — never a partial or
     silently-recomputed verdict.  Reuses the existing
     ``service.batch.worker`` hook; no new fault points."""
-    monkeypatch.setenv("REPRO_SCHED_SPLIT_BYTES", str(len(big_elf)))
+    _force_split(monkeypatch, big_elf)
     clock = FakeClock()
     plan = FaultPlan(
         [FaultSpec(hook="service.batch.worker", kind="raise",
@@ -220,8 +239,7 @@ def test_extent_worker_fault_fails_the_verdict_closed(
         clock=clock,
     )
     inspector = BatchInspector(
-        all_policies, mode="thread", workers=2, cache=False,
-        scheduler="adaptive", clock=clock,
+        all_policies, mode="thread", workers=2, cache=False, clock=clock,
     )
     with injected(plan):
         report = inspector.inspect_batch([("x", big_elf)])
@@ -235,9 +253,9 @@ def test_extent_worker_fault_fails_the_verdict_closed(
 
 
 def test_group_crash_reruns_members_per_item(all_policies, libc):
-    """A whole-group worker crash re-runs its members through the frozen
-    per-item path — one transient fault costs an extra round-trip, not
-    a batch of errors."""
+    """A whole-group worker crash re-runs its members one future each —
+    one transient fault costs an extra round-trip, not a batch of
+    errors."""
     corpus = [
         (f"g{i}", compile_demo(libc, stack_protector=True, name=f"gc{i}").elf)
         for i in range(3)
@@ -249,8 +267,7 @@ def test_group_crash_reruns_members_per_item(all_policies, libc):
         clock=clock,
     )
     inspector = BatchInspector(
-        all_policies, mode="thread", workers=2, cache=False,
-        scheduler="adaptive", clock=clock,
+        all_policies, mode="thread", workers=2, cache=False, clock=clock,
     )
     with injected(plan):
         report = inspector.inspect_batch(corpus)
@@ -271,7 +288,7 @@ def test_inline_lane_honors_retries(all_policies, good_elf):
     )
     inspector = BatchInspector(
         all_policies, mode="process", workers=1, cache=False,
-        scheduler="adaptive", retries=1, backoff_base=0.05, clock=clock,
+        retries=1, backoff_base=0.05, clock=clock,
     )
     with injected(plan):
         report = inspector.inspect_batch([("a", good_elf)])
@@ -288,36 +305,25 @@ def test_inline_lane_honors_retries(all_policies, good_elf):
 
 def test_dispatch_schema_is_stable(all_policies, good_elf):
     """``summary.dispatch`` is ALWAYS present with the full ZERO_SCHED
-    key set — zeroed on the per-item/serial paths, live under adaptive —
-    so STATUS/METRICS consumers never branch on key presence."""
+    key set — zeroed on the serial path, live on the pooled ones — so
+    STATUS/METRICS consumers never branch on key presence."""
     serial = BatchInspector(all_policies, mode="serial")
     payload = json.loads(serial.inspect_batch([("a", good_elf)]).to_json())
     assert payload["summary"]["dispatch"] == ZERO_SCHED
 
     with BatchInspector(
         all_policies, mode="process", workers=2, cache=False,
-    ) as per_item:
-        block = per_item.inspect_batch([("a", good_elf)]).summary.dispatch
+    ) as pooled:
+        block = pooled.inspect_batch([("a", good_elf)]).summary.dispatch
     assert set(block) == set(ZERO_SCHED)
-    assert block["scheduler"] == "per-item"
-    assert block["futures_submitted"] == 1
-
-    with BatchInspector(
-        all_policies, mode="process", workers=2, cache=False,
-        scheduler="adaptive",
-    ) as adaptive:
-        block = adaptive.inspect_batch([("a", good_elf)]).summary.dispatch
-    assert set(block) == set(ZERO_SCHED)
-    assert block["scheduler"] == "adaptive"
+    assert block["inlined"] + block["futures_submitted"] == 1
 
     schema = {
-        "scheduler": str,
         "futures_submitted": int, "inlined": int,
         "micro_batched": int, "micro_batches": int,
         "extent_split": int, "extents_scanned": int, "split_fallbacks": int,
         "queue_wait_seconds": (int, float),
         "break_even_seconds": (int, float),
-        "pickle_penalty_seconds": (int, float),
     }
     for candidate in (block, ZERO_SCHED):
         assert set(candidate) == set(schema)
@@ -335,43 +341,9 @@ def test_daemon_status_and_metrics_grow_sched_block(all_policies):
     finally:
         daemon.stop()
 
-    adaptive = small_daemon(all_policies, scheduler="adaptive")
+    pooled = small_daemon(all_policies, inspector_mode="thread", workers=2)
     try:
-        block = adaptive.status()["sched"]
-        assert set(block) == set(ZERO_SCHED)
-        assert block["scheduler"] == "adaptive"
+        assert set(pooled.status()["sched"]) == set(ZERO_SCHED)
     finally:
-        adaptive.stop()
-
-
-# ------------------------------------------------- pickle-penalty cliff
-
-
-def test_pickle_cliff_warns_once_and_reports_penalty(
-    monkeypatch, all_policies, good_elf
-):
-    import repro.service.batch as batch_mod
-
-    monkeypatch.setattr(batch_mod, "PICKLE_WARN_BYTES", 1024)
-    inspector = BatchInspector(
-        all_policies, mode="process", workers=2, shared_memory=False,
-        cache=False,
-    )
-    with pytest.warns(RuntimeWarning, match="shared_memory"):
-        report = inspector.inspect_batch([("a", good_elf)])
-    assert report.summary.dispatch["pickle_penalty_seconds"] > 0
-    # warn-once: the second batch stays quiet but keeps accounting
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        again = inspector.inspect_batch([("b", good_elf)])
-    assert again.summary.dispatch["pickle_penalty_seconds"] > 0
-    inspector.close()
-
-    # the zero-copy path never pays it
-    with BatchInspector(
-        all_policies, mode="process", workers=2, cache=False,
-    ) as zero_copy:
-        clean = zero_copy.inspect_batch([("a", good_elf)])
-    assert clean.summary.dispatch["pickle_penalty_seconds"] == 0.0
+        pooled.stop()
+        pooled.inspector.close()
