@@ -1,10 +1,11 @@
-"""Hot-path benchmark: dispatch-table decoder + optimized pipeline vs
+"""Hot-path benchmark: column-scan decoder + optimized pipeline vs
 the frozen pre-optimization reference.
 
-Not a paper figure — this measures the PR-3 single-binary hot path:
+Not a paper figure — this measures the single-binary hot path:
 
-* decode throughput (insns/sec) of the table-driven decoder vs the
-  frozen ``repro.x86.refdecode`` oracle,
+* decode throughput (insns/sec) of the production column scan
+  (``decode_columns``: offsets, kinds, targets in parallel arrays, no
+  per-instruction objects) vs the frozen ``repro.x86.refdecode`` oracle,
 * end-to-end ``EnGarde.inspect`` throughput (inspections/sec) of the
   optimized pipeline (``optimized=True``) vs the reference pipeline
   (``optimized=False``: per-instruction decode + charges, uncached
@@ -20,7 +21,8 @@ per-event counts) to the reference.  Any divergence fails the benchmark —
 the meter is the paper's figure source, so optimizations may only change
 wall-clock.
 
-Results land in ``BENCH_pipeline.json`` (uploaded as a CI artifact).
+Results land in ``BENCH_pipeline.json``; ``compare_bench.py`` gates the
+quick-mode artifact against ``benchmarks/baselines/BENCH_pipeline_quick.json``.
 
 Runs both under pytest (``PYTHONPATH=src python -m pytest benchmarks/
 bench_pipeline_hotpath.py``) and as a script (``python benchmarks/
@@ -54,7 +56,7 @@ from repro.sgx.cpu import CycleMeter
 from repro.service import generate_variant_corpus
 from repro.toolchain import build_libc
 from repro.toolchain.workloads import build_workload
-from repro.x86.decoder import decode_all
+from repro.x86.decoder import decode_columns
 from repro.x86.refdecode import ref_decode_all
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -161,8 +163,8 @@ def _best_rate(fn, units: int, *, repeats: int) -> float:
 
 def bench_decode(binary, *, repeats: int) -> dict:
     code = bytes(read_elf(binary.elf).text_sections[0].data)
-    insns = len(decode_all(code))
-    optimized = _best_rate(lambda: decode_all(code), insns, repeats=repeats)
+    insns = len(decode_columns(code))
+    optimized = _best_rate(lambda: decode_columns(code), insns, repeats=repeats)
     reference = _best_rate(lambda: ref_decode_all(code), insns, repeats=repeats)
     return {
         "insns": insns,

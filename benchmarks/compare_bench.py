@@ -59,6 +59,15 @@ REGISTRY: dict[str, list[tuple[str, str, float]]] = {
         ("schedulers.profiles.*.model.modeled_speedup", HIGHER, 0.5),
         ("extent_split.binaries.*.modeled_speedup", HIGHER, 0.5),
     ],
+    "bench_pipeline/1": [
+        # optimized and reference pipelines must agree on every case
+        ("differential.divergences", EXACT, 0.0),
+        # column scan vs frozen decoder, optimized vs reference inspect:
+        # same-run ratios, so host speed cancels; the tolerance absorbs
+        # quick-mode noise while catching a collapse of the hot path
+        ("decode.speedup", HIGHER, 0.5),
+        ("inspect.*.speedup", HIGHER, 0.5),
+    ],
     "bench_slo/1": [
         ("executor.divergences", EXACT, 0.0),
         ("executor.profiles.*.shm_vs_pickle_speedup", HIGHER, 0.5),
@@ -72,6 +81,14 @@ def _walk(payload, path: list[str], prefix: list[str]):
         yield ".".join(prefix), payload
         return
     head, rest = path[0], path[1:]
+    if isinstance(payload, list):
+        # list elements are addressed by index ("*" matches every one)
+        keys = (range(len(payload)) if head == "*"
+                else [int(head)] if head.isdigit() and int(head) < len(payload)
+                else [])
+        for key in keys:
+            yield from _walk(payload[key], rest, prefix + [str(key)])
+        return
     if not isinstance(payload, dict):
         return
     keys = list(payload) if head == "*" else ([head] if head in payload else [])

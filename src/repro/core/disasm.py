@@ -24,6 +24,7 @@ the "Disassembly" column of Figures 3-5.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..elf import ElfImage, read_elf
@@ -31,7 +32,7 @@ from ..errors import DecodeError, ElfError, RejectionError, ValidationError
 from ..faults import hooks as _faults
 from ..sgx.cpu import CycleMeter
 from ..sgx.params import PAGE_SIZE
-from ..x86 import Instruction, iter_decode, validate, validate_fast
+from ..x86 import Columns, Instruction, as_columns, validate, validate_fast
 from ..x86.refdecode import ref_decode_one
 from .policy import PolicyContext, SymbolHashTable
 from .streaming import StreamScan
@@ -48,38 +49,33 @@ class DisassemblyResult:
     """Output of the stage, consumed by the policy engine and the loader."""
 
     image: ElfImage
-    instructions: list[Instruction]
+    #: the instruction buffer as a lazy ``Sequence[Instruction]``
+    instructions: Sequence[Instruction]
     symtab: SymbolHashTable
     text_vaddr: int
     #: pages of instruction-buffer memory requested from the host
     buffer_pages_allocated: int
-    #: streamed prescan artifacts when the scan was verified and used
+    #: the streamed scan, when it was verified and adopted
     scan: StreamScan | None = None
+    #: the decoded rows behind ``instructions``
+    columns: Columns | None = None
+
+    def __post_init__(self) -> None:
+        if self.columns is None:
+            self.columns = as_columns(self.instructions)
 
     def policy_context(self, meter: CycleMeter, *, cached: bool = True) -> PolicyContext:
-        scan = self.scan
-        if scan is not None and cached:
-            # Seed the context with the prescan's byproducts: the offset
-            # index and call-site views were already collected while the
-            # content streamed in, so the policy stage starts warm.
-            ctx = PolicyContext(
-                instructions=self.instructions,
-                symtab=self.symtab,
-                image=self.image,
-                meter=meter,
-                index_by_offset=scan.by_offset,
-                cached=cached,
-            )
-            ctx._call_sites = (scan.direct_calls, scan.indirect_idx)
-            ctx.delta = scan.delta
-            return ctx
-        return PolicyContext(
+        ctx = PolicyContext(
             instructions=self.instructions,
             symtab=self.symtab,
             image=self.image,
             meter=meter,
             cached=cached,
+            columns=self.columns,
         )
+        if self.scan is not None and cached:
+            ctx.delta = self.scan.delta
+        return ctx
 
 
 class Disassembler:
@@ -91,13 +87,13 @@ class Disassembler:
     paper optimised away — one trampoline per instruction record instead
     of one per page — for the ablation benchmark.
 
-    *optimized* selects the decode loop: the default drives the
-    dispatch-table decoder through a resumable cursor and flushes meter
-    charges once per stage; ``optimized=False`` runs the frozen
-    pre-optimization loop (per-instruction ``ref_decode_one`` + three
-    per-instruction ``charge`` calls) for differential testing and
-    baseline benchmarks.  Both produce identical instructions, identical
-    trampoline call sequences, and tick-identical meter totals.
+    *optimized* selects the decode loop: the default runs the column
+    scan (:class:`~repro.x86.decoder.Columns`) and flushes meter charges
+    once per stage; ``optimized=False`` runs the frozen pre-optimization
+    loop (per-instruction ``ref_decode_one`` + three per-instruction
+    ``charge`` calls) for differential testing and baseline benchmarks.
+    Both produce identical instructions, identical trampoline call
+    sequences, and tick-identical meter totals.
     """
 
     def __init__(
@@ -169,15 +165,16 @@ class Disassembler:
         text = image.text_sections[0]
 
         if self.optimized:
-            instructions, buffer_pages = self._decode_fast(text.data)
+            cols, buffer_pages = self._decode_fast(text.data)
         else:
-            instructions, buffer_pages = self._decode_reference(text.data)
+            insns, buffer_pages = self._decode_reference(text.data)
+            cols = Columns.from_instructions(insns, text.data)
 
-        symtab, roots = self._build_symtab(image, text, instructions)
+        symtab, roots = self._build_symtab(image, text, cols.instructions)
 
         entry_offset = image.entry - text.vaddr
         try:
-            validate(instructions, entry=entry_offset, roots=roots)
+            validate(cols, entry=entry_offset, roots=roots)
         except ValidationError as exc:
             raise RejectionError(
                 f"NaCl constraint violated: {exc}", stage="disasm"
@@ -185,10 +182,11 @@ class Disassembler:
 
         return DisassemblyResult(
             image=image,
-            instructions=instructions,
+            instructions=cols.instructions,
             symtab=symtab,
             text_vaddr=text.vaddr,
             buffer_pages_allocated=buffer_pages,
+            columns=cols,
         )
 
     def _build_symtab(self, image: ElfImage, text, instructions):
@@ -226,41 +224,19 @@ class Disassembler:
         The decode already happened while the content streamed in, so this
         replays its *observable* effects exactly: the same buffer-growth
         trampoline sequence (all one-page requests, in order), the same
-        batched decode charges, and the fast validator over the prescan
-        artifacts — whose check order and error strings match the
-        reference validator byte for byte.
+        batched decode charges, and the same validator over the scan's
+        columns.
         """
-        meter = self.meter
         text = image.text_sections[0]
-        instructions = scan.instructions
-        n = len(instructions)
-        if self.per_insn_malloc:
-            buffer_pages = n
-            for _ in range(n):
-                self._alloc_pages(1)
-        else:
-            buffer_pages = -(-n * INSN_RECORD_BYTES // PAGE_SIZE)
-            for _ in range(buffer_pages):
-                self._alloc_pages(1)
-        meter.charge_batch({
-            "decode_byte": scan.n_bytes,
-            "decode_insn": n,
-            "buffer_store": n,
-        })
+        cols = scan.columns
+        buffer_pages = self._grow_buffer(len(cols))
+        self._charge_decode(cols, len(cols))
 
-        symtab, roots = self._build_symtab(image, text, instructions)
+        symtab, roots = self._build_symtab(image, text, cols.instructions)
 
         entry_offset = image.entry - text.vaddr
         try:
-            validate_fast(
-                instructions,
-                entry=entry_offset,
-                roots=roots,
-                by_offset=scan.by_offset,
-                bundle_violation=scan.bundle_violation,
-                branch_idx=scan.branch_idx,
-                term_idx=scan.term_idx,
-            )
+            validate_fast(cols, entry=entry_offset, roots=roots)
         except ValidationError as exc:
             raise RejectionError(
                 f"NaCl constraint violated: {exc}", stage="disasm"
@@ -268,65 +244,80 @@ class Disassembler:
 
         return DisassemblyResult(
             image=image,
-            instructions=instructions,
+            instructions=cols.instructions,
             symtab=symtab,
             text_vaddr=text.vaddr,
             buffer_pages_allocated=buffer_pages,
             scan=scan,
+            columns=cols,
         )
 
     # ------------------------------------------------------- decode loops
 
-    def _decode_fast(self, code: bytes) -> tuple[list[Instruction], int]:
-        """Hot decode loop: resumable-cursor decoding, batched charges.
+    def _decode_fast(self, code: bytes) -> tuple[Columns, int]:
+        """Hot decode: one column scan, then the stage's observable effects.
 
-        Meter counts are accumulated in locals and flushed with one
-        :meth:`CycleMeter.charge_batch` call per stage — including on the
-        rejection path, so a binary that fails mid-stream still charges
-        exactly what the per-instruction reference loop would have charged
-        for the instructions completed before the failure.
+        The buffer-growth trampoline sequence and the meter charges are
+        functions of the row count alone, so they are replayed from it
+        after the scan — including on the rejection path, where exactly
+        the rows completed before the failure are charged, as the
+        per-instruction reference loop does.
         """
-        instructions: list[Instruction] = []
-        append = instructions.append
-        alloc = self._alloc_pages
-        per_insn = self.per_insn_malloc
-        buffer_bytes_used = 0
-        buffer_pages = 0
-        n_bytes = 0
-        # Hot path: the per-instruction fault hook only exists when a plan
-        # actually watches the decoder — zero overhead otherwise.
-        hooked = _faults.wants("x86.decoder")
+        cols = Columns(bytes(code))
+        error: DecodeError | None = None
         try:
-            for insn in iter_decode(code, 0, len(code)):
-                if hooked:
+            cols.scan(0, len(code))
+        except DecodeError as exc:
+            error = exc
+        n = len(cols)
+        if _faults.wants("x86.decoder"):
+            # A plan watches the decoder: take the per-instruction path,
+            # so the hook fires before each instruction is counted and
+            # interleaves with the buffer growth exactly as it always has.
+            alloc = self._alloc_pages
+            buffer_pages = 0
+            for i in range(n):
+                try:
                     _faults.fault_hook("x86.decoder", error=DecodeError)
-                n_bytes += insn.length
-                # Dynamic buffer bookkeeping: allocate via the trampoline
-                # page-at-a-time (or per record, for the ablation).
-                if per_insn:
+                except DecodeError as exc:
+                    error, n = exc, i
+                    break
+                if self.per_insn_malloc or i * INSN_RECORD_BYTES >= buffer_pages * PAGE_SIZE:
                     alloc(1)
                     buffer_pages += 1
-                else:
-                    buffer_bytes_used += INSN_RECORD_BYTES
-                    if buffer_bytes_used > buffer_pages * PAGE_SIZE:
-                        alloc(1)
-                        buffer_pages += 1
-                append(insn)
-        except DecodeError as exc:
-            self.meter.charge_batch({
-                "decode_byte": n_bytes,
-                "decode_insn": len(instructions),
-                "buffer_store": len(instructions),
-            })
+        else:
+            buffer_pages = self._grow_buffer(n)
+        self._charge_decode(cols, n)
+        if error is not None:
             raise RejectionError(
-                f"disassembly failed: {exc}", stage="disasm"
-            ) from exc
-        self.meter.charge_batch({
-            "decode_byte": n_bytes,
-            "decode_insn": len(instructions),
-            "buffer_store": len(instructions),
-        })
-        return instructions, buffer_pages
+                f"disassembly failed: {error}", stage="disasm"
+            ) from error
+        return cols, buffer_pages
+
+    def _grow_buffer(self, n: int) -> int:
+        """Request the instruction-buffer pages for *n* records.
+
+        The buffer is grown through the trampoline a page at a time (or
+        once per record, for the ablation) — all one-page requests, so
+        the sequence is a function of the count alone.
+        """
+        if self.per_insn_malloc:
+            pages = n
+        else:
+            pages = -(-n * INSN_RECORD_BYTES // PAGE_SIZE)
+        for _ in range(pages):
+            self._alloc_pages(1)
+        return pages
+
+    def _charge_decode(self, cols: Columns, n: int) -> None:
+        """Charge the decode of the first *n* rows in one batch (nothing,
+        like the per-instruction loop, when no row completed)."""
+        if n:
+            self.meter.charge_batch({
+                "decode_byte": cols.row_end(n - 1) - cols.off[0],
+                "decode_insn": n,
+                "buffer_store": n,
+            })
 
     def _decode_reference(self, code: bytes) -> tuple[list[Instruction], int]:
         """Frozen pre-optimization loop (differential oracle / baseline)."""

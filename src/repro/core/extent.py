@@ -68,9 +68,10 @@ from ..elf import read_elf
 from ..errors import DecodeError, ElfError, PolicyError, RejectionError
 from ..faults import hooks as _faults
 from ..sgx.cpu import CycleMeter
-from ..sgx.params import PAGE_SIZE
-from ..x86 import Instruction, decode_extent
-from .disasm import INSN_RECORD_BYTES
+from ..x86 import Columns, Instruction, decode_extent, decode_one
+from ..x86.decoder import (
+    K_CALL, K_ICALL, K_IJMP, K_NOP, TARGET_KINDS, TERMINATOR_KINDS,
+)
 from .engarde import EnGarde, InspectionOutcome, static_text_pages
 from .policies.ifcc import JUMP_TABLE_PREFIX, IfccPolicy, walk_call_site
 from .policies.library_linking import LibraryLinkingPolicy
@@ -261,8 +262,8 @@ class ExtentScan:
     #: cursor position after the last decoded instruction
     stitch_pos: int = 0
     offsets: array = field(default_factory=lambda: array("q"))
-    mnem_table: list[str] = field(default_factory=list)
-    mnem_ids: bytes = b""
+    #: the decoder's per-row kind column (``K_*``)
+    kinds: bytes = b""
     term_local: array = field(default_factory=lambda: array("q"))
     branch_local: array = field(default_factory=lambda: array("q"))
     branch_targets: array = field(default_factory=lambda: array("q"))
@@ -306,16 +307,16 @@ def scan_extent(raw_elf, policies, task: dict) -> ExtentScan:
         scan.fallback = f"worker ELF parse failed: {type(exc).__name__}"
         return scan
 
-    insns: list[Instruction] = []
+    cols = Columns(code, start)
     try:
-        _, pos = decode_extent(code, start, end, insns)
+        _, pos = decode_extent(code, start, end, cols)
     except DecodeError as exc:
         scan.decode_error = str(exc)
-        scan.n_insns = len(insns)
-        scan.n_bytes = (insns[-1].end - start) if insns else 0
-        scan.stitch_pos = start + scan.n_bytes
+        scan.n_insns = len(cols)
+        scan.n_bytes = cols.end - start
+        scan.stitch_pos = cols.end
         return scan
-    scan.n_insns = len(insns)
+    scan.n_insns = len(cols)
     scan.n_bytes = pos - start
     scan.stitch_pos = pos
     if pos != end:
@@ -323,85 +324,68 @@ def scan_extent(raw_elf, policies, task: dict) -> ExtentScan:
         # decode knows what the bytes mean
         return scan
 
-    _collect_decode_artifacts(scan, insns)
+    _collect_decode_artifacts(scan, cols)
     try:
-        _scan_policies(scan, insns, image, policies, cand_table, window)
+        _scan_policies(scan, cols, image, policies, cand_table, window)
     except (_OutOfExtent, PolicyError) as exc:
         scan.fallback = f"extent-local policy scan impossible: {exc}"
     return scan
 
 
-def _collect_decode_artifacts(scan: ExtentScan, insns: list[Instruction]) -> None:
-    offsets = array("q")
-    term_local = array("q")
-    branch_local = array("q")
-    branch_targets = array("q")
-    mnem_index: dict[str, int] = {}
-    mnem_table: list[str] = []
-    mnem_ids = bytearray(len(insns))
-    bundle_first = None
-    for i, insn in enumerate(insns):
-        offsets.append(insn.offset)
-        mid = mnem_index.get(insn.mnemonic)
-        if mid is None:
-            mid = mnem_index[insn.mnemonic] = len(mnem_table)
-            mnem_table.append(insn.mnemonic)
-        mnem_ids[i] = mid
-        if insn.is_terminator:
-            term_local.append(i)
-        if insn.target is not None:
-            branch_local.append(i)
-            branch_targets.append(insn.target)
-        if bundle_first is None and (
-            insn.offset // 32 != (insn.end - 1) // 32
-        ):
-            bundle_first = (insn.offset, insn.mnemonic, insn.length)
-    scan.offsets = offsets
-    scan.term_local = term_local
-    scan.branch_local = branch_local
-    scan.branch_targets = branch_targets
-    scan.mnem_table = mnem_table
-    scan.mnem_ids = bytes(mnem_ids)
-    scan.bundle_first = bundle_first
+def _collect_decode_artifacts(scan: ExtentScan, cols: Columns) -> None:
+    scan.offsets = cols.off
+    scan.kinds = bytes(cols.kind)
+    scan.term_local = array("q", cols.rows(*TERMINATOR_KINDS))
+    branch = cols.rows(*TARGET_KINDS)
+    scan.branch_local = array("q", branch)
+    scan.branch_targets = array("q", [cols.arg[i] for i in branch])
+    if cols.bundle_row >= 0:
+        insn = cols.insn(cols.bundle_row)
+        scan.bundle_first = (insn.offset, insn.mnemonic, insn.length)
 
 
 def _scan_policies(
     scan: ExtentScan,
-    insns: list[Instruction],
+    cols: Columns,
     image,
     policies,
     cand_table,
     window: int,
 ) -> None:
     start, end = scan.start, scan.end
+    offsets = cols.off
+    n = len(cols)
 
     # shared views every policy merge needs
     scan.direct_calls = [
-        (insn.offset, insn.target) for insn in insns if insn.is_direct_call
+        (offsets[i], cols.arg[i]) for i in cols.rows(K_CALL)
     ]
     if cand_table is not None:
         lo, hi = cand_table
         scan.table_insns = {
             insn.offset: (insn.mnemonic, insn.length, insn.is_direct_jump)
-            for insn in insns
-            if lo <= insn.offset < hi
+            for insn in (
+                cols.insn(i) for i in range(
+                    bisect_left(offsets, lo), bisect_left(offsets, hi)
+                )
+            )
         }
+    insns = cols.instructions
     scan.head_insns = insns[:window]
-    scan.tail_insns = insns[-window:] if len(insns) > window else list(insns)
+    scan.tail_insns = insns[max(n - window, 0):]
 
     # IFCC: pure backward walks; sites too close to the extent start are
     # deferred to the parent's stitched re-walk
     has_ifcc = any(type(m) is IfccPolicy for m in policies)
     if has_ifcc:
         sites = []
-        for i, insn in enumerate(insns):
-            if insn.is_indirect_call or insn.is_indirect_jump:
-                deferred = scan.index > 0 and i < window
-                if cand_table is None or deferred:
-                    ok, steps = False, 0
-                else:
-                    ok, steps = walk_call_site(insns, i, cand_table, window)
-                sites.append((insn.offset, i, ok, steps, deferred))
+        for i in cols.rows(K_ICALL, K_IJMP):
+            deferred = scan.index > 0 and i < window
+            if cand_table is None or deferred:
+                ok, steps = False, 0
+            else:
+                ok, steps = walk_call_site(insns, i, cand_table, window)
+            sites.append((offsets[i], i, ok, steps, deferred))
         scan.ifcc_sites = sites
 
     # stack protection: run the module's own per-function check against
@@ -417,15 +401,14 @@ def _scan_policies(
     work = CycleMeter()
     symtab._meter = work
 
-    local_map = {insn.offset: i for i, insn in enumerate(insns)}
+    local_map = dict(zip(offsets, range(n)))
     # a function ending exactly at the extent boundary resolves its end
-    # index to len(insns), same as the global slice would
-    boundary_sentinel = end
-    local_map.setdefault(boundary_sentinel, len(insns))
+    # index to the row count, same as the global slice would
+    local_map.setdefault(end, n)
 
     ctx = PolicyContext(
         instructions=insns, symtab=symtab, image=image, meter=work,
-        index_by_offset=local_map, cached=True,
+        index_by_offset=local_map, cached=True, columns=cols,
     )
 
     def guarded_at(offset, _at=PolicyContext.at, _ctx=ctx):
@@ -563,12 +546,13 @@ def _merge_extent_scans(
         # the serial decode provably fails at the same byte with the
         # same partial charges: replay them and reject
         with meter.phase("disassembly"):
-            _replay_allocs(engarde.disassembler, n_insns)
-            meter.charge_batch({
-                "decode_byte": n_bytes,
-                "decode_insn": n_insns,
-                "buffer_store": n_insns,
-            })
+            engarde.disassembler._grow_buffer(n_insns)
+            if n_insns:  # as the serial stage: nothing when no row completed
+                meter.charge_batch({
+                    "decode_byte": n_bytes,
+                    "decode_insn": n_insns,
+                    "buffer_store": n_insns,
+                })
         return InspectionOutcome(
             report=ComplianceReport.rejected(
                 benchmark, policy_names, stage="disasm"
@@ -582,12 +566,11 @@ def _merge_extent_scans(
     by_offset: dict[int, int] = {}
     base = 0
     for scan in clean:
-        for j, offset in enumerate(scan.offsets):
-            by_offset[offset] = base + j
+        by_offset.update(zip(scan.offsets, range(base, base + scan.n_insns)))
         base += scan.n_insns
 
     with meter.phase("disassembly"):
-        _replay_allocs(engarde.disassembler, n_insns)
+        engarde.disassembler._grow_buffer(n_insns)
         meter.charge_batch({
             "decode_byte": n_bytes,
             "decode_insn": n_insns,
@@ -601,7 +584,7 @@ def _merge_extent_scans(
             roots.append(offset)
         entry_offset = image.entry - text.vaddr
         validation_error = _merged_validate(
-            clean, by_offset, n_insns, entry_offset, roots
+            clean, by_offset, n_insns, entry_offset, roots, code
         )
     if validation_error is not None:
         return InspectionOutcome(
@@ -650,18 +633,6 @@ def _merge_extent_scans(
     )
 
 
-def _replay_allocs(disassembler, n_insns: int) -> None:
-    """Replay the buffer-growth trampoline calls of a serial decode."""
-    alloc = disassembler._alloc_pages
-    if disassembler.per_insn_malloc:
-        for _ in range(n_insns):
-            alloc(1)
-    else:
-        pages = -(-n_insns * INSN_RECORD_BYTES // PAGE_SIZE)
-        for _ in range(pages):
-            alloc(1)
-
-
 # ------------------------------------------------------- validation merge
 
 
@@ -671,6 +642,7 @@ def _merged_validate(
     n_insns: int,
     entry: int,
     roots: list[int],
+    code: bytes,
 ) -> str | None:
     """All three NaCl checks from compact artifacts; returns the error
     message (reference-identical order and wording) or None.
@@ -691,9 +663,9 @@ def _merged_validate(
     for scan in scans:
         for j, target in zip(scan.branch_local, scan.branch_targets):
             if target not in by_offset:
+                mnemonic = decode_one(code, scan.offsets[j]).mnemonic
                 return (
-                    f"{scan.mnem_table[scan.mnem_ids[j]]} at "
-                    f"{scan.offsets[j]:#x} targets {target:#x}, "
+                    f"{mnemonic} at {scan.offsets[j]:#x} targets {target:#x}, "
                     "which is not a valid instruction start"
                 )
     if entry not in by_offset:
@@ -738,11 +710,9 @@ def _merged_validate(
         base = 0
         for scan in scans:
             for j in range(scan.n_insns):
-                if covered[base + j]:
+                if covered[base + j] or scan.kinds[j] == K_NOP:
                     continue
-                mnemonic = scan.mnem_table[scan.mnem_ids[j]]
-                if mnemonic in ("nop", "nopl"):
-                    continue
+                mnemonic = decode_one(code, scan.offsets[j]).mnemonic
                 return (
                     f"unreachable instruction at {scan.offsets[j]:#x} "
                     f"({mnemonic})"

@@ -27,8 +27,11 @@ magnitude cheaper than the other policies'.
 
 from __future__ import annotations
 
-from ...x86 import Imm, Instruction, Mem
-from ...x86.registers import Reg
+from collections.abc import Sequence
+
+from ...x86 import Imm, Instruction, InstructionView, Mem
+from ...x86.decoder import K_ICALL, K_IJMP, K_JMP, K_NOP, NO_REG
+from ...x86.registers import GPR64, Reg
 from ..policy import PolicyContext, PolicyModule, PolicyResult
 
 __all__ = ["IfccPolicy", "JUMP_TABLE_PREFIX", "walk_call_site"]
@@ -41,6 +44,7 @@ class IfccPolicy(PolicyModule):
     """Checks indirect calls against the IFCC jump-table discipline."""
 
     name = "indirect-function-call"
+    config_fields = ("backward_window",)
 
     def __init__(self, *, backward_window: int = 12) -> None:
         self.backward_window = backward_window
@@ -54,10 +58,9 @@ class IfccPolicy(PolicyModule):
 
         table_range = self._find_jump_table(ctx, result)
         indirect_calls = 0
-        meter.charge("policy_scan_insn", len(ctx.instructions))
-        instructions = ctx.instructions
+        meter.charge("policy_scan_insn", len(ctx.columns))
+        offsets = ctx.columns.off
         for idx in ctx.indirect_calls():
-            insn = instructions[idx]
             indirect_calls += 1
             if table_range is None:
                 result.add_violation(
@@ -66,7 +69,7 @@ class IfccPolicy(PolicyModule):
                 continue
             if not self._check_call_site(ctx, idx, table_range):
                 result.add_violation(
-                    f"indirect call at +{insn.offset:#x} is not IFCC-protected"
+                    f"indirect call at +{offsets[idx]:#x} is not IFCC-protected"
                 )
         result.stats["indirect_calls"] = indirect_calls
         return result
@@ -93,16 +96,27 @@ class IfccPolicy(PolicyModule):
             return None
         # Two comparisons per entry, accumulated locally and flushed in one
         # batched charge even when a malformed entry aborts the loop early.
+        # Read from the columns: a direct jmp is its kind, a length is
+        # the distance to the next row, and a 3-byte nop row is a nopl
+        # exactly when it starts with the 0F escape (the other 3-byte
+        # form, 66 REX 90, is a plain nop).
+        cols = ctx.columns
+        kind = cols.kind
+        index = ctx.index_by_offset
+        text = ctx.image.text_sections[0].data
         compares = 0
         try:
             for addr in entries:
                 compares += 2
-                jmp = ctx.at(addr)
-                if jmp is None or not jmp.is_direct_jump or jmp.length != 5:
+                row = index.get(addr)
+                if (row is None or kind[row] != K_JMP
+                        or cols.row_end(row) - addr != 5):
                     result.add_violation("malformed jump-table entry (no jmpq)")
                     return None
-                pad = ctx.at(addr + 5)
-                if pad is None or pad.mnemonic != "nopl" or pad.length != 3:
+                pad = index.get(addr + 5)
+                if (pad is None or kind[pad] != K_NOP
+                        or cols.row_end(pad) - (addr + 5) != 3
+                        or text[addr + 5] != 0x0F):
                     result.add_violation("malformed jump-table entry (no nopl)")
                     return None
         finally:
@@ -127,7 +141,7 @@ class IfccPolicy(PolicyModule):
 
 
 def walk_call_site(
-    instructions: list[Instruction],
+    instructions: Sequence[Instruction],
     idx: int,
     table_range: tuple[int, int],
     backward_window: int,
@@ -140,9 +154,25 @@ def walk_call_site(
     the walk exits).  Factored out of :meth:`IfccPolicy._check_call_site`
     so the extent-split merge can re-run boundary-straddling walks over
     a stitched window with provably identical semantics.
+
+    Over a whole decoded buffer (an :class:`InstructionView`) the walk
+    reads the kind and written-register columns first and builds an
+    :class:`Instruction` only for rows that can match or end it: nops
+    are skipped by kind, and in the ``lea`` state a row that writes
+    neither register can be neither the ``lea`` nor a clobber.
     """
-    call = instructions[idx]
-    target = call.operands[0] if call.operands else None
+    cols = None
+    if isinstance(instructions, InstructionView) and instructions.whole:
+        cols = instructions.columns
+    if cols is not None and cols.kind[idx] in (K_ICALL, K_IJMP):
+        # ``callq *%reg`` writes its operand register (wreg); a memory
+        # operand writes none
+        if cols.wreg[idx] == NO_REG:
+            return False, 0
+        target = GPR64[cols.wreg[idx]]
+    else:
+        call = instructions[idx]
+        target = call.operands[0] if call.operands else None
     if not isinstance(target, Reg):
         return False, 0  # memory-indirect calls are never IFCC-emitted
 
@@ -156,6 +186,11 @@ def walk_call_site(
     steps = 0
     for back in range(idx - 1, max(idx - 1 - backward_window, -1), -1):
         steps += 1
+        if cols is not None:
+            if cols.kind[back] == K_NOP:
+                continue
+            if state == "lea" and cols.wreg[back] not in (ptr.num, base.num):
+                continue
         insn = instructions[back]
         if insn.mnemonic in ("nop", "nopl"):
             continue

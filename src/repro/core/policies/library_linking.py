@@ -16,7 +16,7 @@ the ``bench_ablation_hash_memo`` benchmark.
 from __future__ import annotations
 
 from ...crypto.sha256 import sha256_fast
-from ..policy import PolicyContext, PolicyModule, PolicyResult
+from ..policy import FrozenMapping, PolicyContext, PolicyModule, PolicyResult
 
 __all__ = ["LibraryLinkingPolicy"]
 
@@ -25,6 +25,7 @@ class LibraryLinkingPolicy(PolicyModule):
     """Checks linked-library identity via per-function SHA-256 hashes."""
 
     name = "library-linking"
+    config_fields = ("reference_hashes", "library_name", "require_all_calls_known")
 
     def __init__(
         self,
@@ -36,7 +37,7 @@ class LibraryLinkingPolicy(PolicyModule):
     ) -> None:
         if not reference_hashes:
             raise ValueError("reference hash database is empty")
-        self.reference_hashes = dict(reference_hashes)
+        self.reference_hashes = FrozenMapping(reference_hashes)
         self.library_name = library_name
         self.require_all_calls_known = require_all_calls_known
         self.memoize = memoize
@@ -64,13 +65,16 @@ class LibraryLinkingPolicy(PolicyModule):
         use_index = ctx.cached and not self.memoize
         digest_index: dict[int, tuple[bytes, int, int]] = {}
 
-        meter.charge("policy_scan_insn", len(ctx.instructions))
-        for insn in ctx.direct_calls():
-            target = insn.target
+        cols = ctx.columns
+        offsets = cols.off
+        targets = cols.arg
+        meter.charge("policy_scan_insn", len(cols))
+        for row in ctx.direct_call_rows():
+            target = targets[row]
             name = ctx.symtab.lookup(target)
             if name is None:
                 result.add_violation(
-                    f"direct call at +{insn.offset:#x} targets a non-function "
+                    f"direct call at +{offsets[row]:#x} targets a non-function "
                     "address"
                 )
                 continue
@@ -126,10 +130,9 @@ class LibraryLinkingPolicy(PolicyModule):
         meter = ctx.meter
         first = ctx.index_by_offset[start]
         end_offset = ctx.symtab.next_function_start(start)
-        instructions = ctx.instructions
         if end_offset is None:
-            last = len(instructions)
-            end_byte = instructions[-1].end
+            last = len(ctx.columns)
+            end_byte = ctx.columns.end
         else:
             last = ctx.index_by_offset[end_offset]
             end_byte = end_offset

@@ -22,6 +22,10 @@ Nginx in Figure 4 despite a tenth of the instructions.
 The implementation batches its cycle charges (one ``charge`` call per
 scan, with the exact instruction counts the naive loop would examine)
 so that simulated cost is faithful while Python overhead stays sane.
+It reads the decoder's columns — stack stores and slot compares are row
+kinds, the defining write is a reverse search of the written-register
+column — and builds ``Instruction`` objects only for the canary loads
+and check tails it has to match operand by operand.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from ...x86 import Instruction, Mem
+from ...x86.decoder import K_CMP, K_NOP, K_STORE, unpack_slot
 from ...x86.registers import Reg
 from ..policy import PolicyContext, PolicyModule, PolicyResult
 from ..streaming import RecordingMeter
@@ -39,24 +44,8 @@ CANARY_FS_OFFSET = 0x28
 _CHK_FAIL = "__stack_chk_fail"
 
 
-def _is_stack_store(insn: Instruction) -> tuple[Reg, Mem] | None:
-    """``mov %reg, disp(%rsp|%rbp)``: returns (source reg, slot) or None.
-
-    Both %rsp- and %rbp-based slots are "the stack's variables"; the
-    canary spill itself is always %rsp-based (`mov %rax,(%rsp)`).
-    """
-    if insn.mnemonic != "mov" or len(insn.operands) != 2:
-        return None
-    src, dst = insn.operands
-    if not isinstance(src, Reg) or not isinstance(dst, Mem):
-        return None
-    if dst.base is None or dst.base.num not in (4, 5) or dst.seg or dst.index:
-        return None
-    return src, dst
-
-
-def _is_canary_load(insn: Instruction, into: Reg | None = None) -> bool:
-    """``mov %fs:0x28, %reg`` (optionally into a specific register)."""
+def _is_canary_load(insn: Instruction, into: int | None = None) -> bool:
+    """``mov %fs:0x28, %reg`` (optionally into register number *into*)."""
     if insn.mnemonic != "mov" or len(insn.operands) != 2:
         return False
     src, dst = insn.operands
@@ -65,24 +54,43 @@ def _is_canary_load(insn: Instruction, into: Reg | None = None) -> bool:
     if not (src.seg == "fs" and src.disp == CANARY_FS_OFFSET
             and src.base is None and src.index is None):
         return False
-    return into is None or dst.num == into.num
+    return into is None or dst.num == into
 
 
-def _writes_register(insn: Instruction, reg_num: int) -> bool:
-    """Conservative: does *insn* define register *reg_num*?  (AT&T:
-    destination last.)"""
-    if not insn.operands:
-        return False
-    dst = insn.operands[-1]
-    if isinstance(dst, Reg) and dst.num == reg_num:
-        return insn.mnemonic not in ("cmp", "test", "push")
-    return False
+def _slot_views(ctx: PolicyContext):
+    """Whole-buffer views the per-function check bisects into.
+
+    * stack stores — ``mov %reg, disp(%rsp|%rbp)`` (no segment, no
+      index): sorted rows plus ``(reg, disp)`` per row.  Both %rsp- and
+      %rbp-based slots are "the stack's variables"; the canary spill
+      itself is always %rsp-based (``mov %rax,(%rsp)``);
+    * slot compares — ``cmp disp(%rsp), %reg``: sorted rows plus
+      ``(disp, reg)`` per row.
+    """
+    cols = ctx.columns
+    arg = cols.arg
+    store_rows: list[int] = []
+    store_facts: list[tuple[int, int]] = []
+    for row in cols.rows(K_STORE):
+        reg, base, disp = unpack_slot(arg[row])
+        if base == 4 or base == 5:
+            store_rows.append(row)
+            store_facts.append((reg, disp))
+    cmp_rows: list[int] = []
+    cmp_facts: list[tuple[int, int]] = []
+    for row in cols.rows(K_CMP):
+        reg, base, disp = unpack_slot(arg[row])
+        if base == 4:
+            cmp_rows.append(row)
+            cmp_facts.append((disp, reg))
+    return store_rows, store_facts, cmp_rows, cmp_facts
 
 
 class StackProtectionPolicy(PolicyModule):
     """Checks every client function for canary instrumentation."""
 
     name = "stack-protection"
+    config_fields = ("exempt_functions",)
 
     def __init__(
         self,
@@ -107,11 +115,12 @@ class StackProtectionPolicy(PolicyModule):
         session = (
             memo.session(ctx, self.config_digest()) if memo is not None else None
         )
+        views = ctx.view(self.name, _slot_views)
         for start, name in ctx.function_starts():
             if name in self.exempt_functions:
                 continue
             if session is None:
-                inc, violation = self._check_one(ctx, start, name)
+                inc, violation = self._check_one(ctx, start, name, views)
             else:
                 hit = session.lookup(name, start)
                 if hit is not None:
@@ -119,7 +128,7 @@ class StackProtectionPolicy(PolicyModule):
                     RecordingMeter.replay(ctx.meter, charges)
                 else:
                     inc, violation = self._check_one_recorded(
-                        ctx, start, name, session
+                        ctx, start, name, session, views
                     )
             functions_checked += inc
             if violation is not None:
@@ -128,21 +137,25 @@ class StackProtectionPolicy(PolicyModule):
         return result
 
     def _check_one(
-        self, ctx: PolicyContext, start: int, name: str
+        self, ctx: PolicyContext, start: int, name: str, views=None
     ) -> tuple[int, str | None]:
         """The per-function check: (checked increment, violation or None)."""
         first, last = ctx.function_extent(start)
-        body = ctx.instructions[first:last]
-        if not any(_is_stack_store(i) for i in body):
+        if views is None:
+            views = ctx.view(self.name, _slot_views)
+        store_rows = views[0]
+        lo = bisect_left(store_rows, first)
+        hi = bisect_left(store_rows, last)
+        if lo == hi:
             return 0, None  # no stack variables: nothing to protect
-        if not self._function_protected(ctx, body):
+        if not self._function_protected(ctx, first, last, views, lo, hi):
             return 1, (
                 f"function {name!r} lacks stack-protector instrumentation"
             )
         return 1, None
 
     def _check_one_recorded(
-        self, ctx: PolicyContext, start: int, name: str, session
+        self, ctx: PolicyContext, start: int, name: str, session, views
     ) -> tuple[int, str | None]:
         """Run the check while capturing charges and out-of-extent reads.
 
@@ -165,7 +178,7 @@ class StackProtectionPolicy(PolicyModule):
         ctx.symtab._meter = recorder
         ctx.at = tracked_at
         try:
-            inc, violation = self._check_one(ctx, start, name)
+            inc, violation = self._check_one(ctx, start, name, views)
         finally:
             ctx.meter = real_meter
             ctx.symtab._meter = real_symtab_meter
@@ -175,50 +188,48 @@ class StackProtectionPolicy(PolicyModule):
 
     # ------------------------------------------------------------------
 
-    def _function_protected(self, ctx: PolicyContext, body: list[Instruction]) -> bool:
+    def _function_protected(
+        self, ctx: PolicyContext, first: int, last: int, views, lo: int, hi: int
+    ) -> bool:
         """The paper's per-function algorithm, with batched cost charging.
 
         For every stack store: (a) scan backward for the source register's
         defining instruction; (b) scan the function for a ``cmp`` matching
         (slot, register) with the check tail.  Protected iff some store's
-        value is the ``%fs:0x28`` canary *and* its tail exists.
+        value is the ``%fs:0x28`` canary *and* its tail exists.  Stores
+        ``lo..hi`` of the whole-buffer views fall inside the function
+        ``[first, last)``; indices below are function-relative.
         """
         meter = ctx.meter
-        n = len(body)
+        n = last - first
         meter.charge("policy_scan_insn", n)
+        store_rows, store_facts, cmp_rows, cmp_facts = views
+        # register written per row (AT&T: destination last; cmp, test
+        # and push define nothing)
+        wreg = ctx.columns.wreg
 
-        # Precomputed views of the function body.
-        stores: list[tuple[int, int, int]] = []      # (idx, src reg, disp)
-        writes_by_reg: dict[int, list[int]] = {}     # reg -> write indices
-        cmps: list[tuple[int, int, int]] = []        # (idx, disp, reg)
-        for idx, insn in enumerate(body):
-            store = _is_stack_store(insn)
-            if store is not None:
-                stores.append((idx, store[0].num, store[1].disp))
-            if insn.operands:
-                dst = insn.operands[-1]
-                if isinstance(dst, Reg) and insn.mnemonic not in ("cmp", "test", "push"):
-                    writes_by_reg.setdefault(dst.num, []).append(idx)
-            if insn.mnemonic == "cmp" and len(insn.operands) == 2:
-                mem, reg = insn.operands
-                if (isinstance(mem, Mem) and isinstance(reg, Reg)
-                        and mem.base is not None and mem.base.num == 4
-                        and not mem.seg and mem.index is None):
-                    cmps.append((idx, mem.disp, reg.num))
+        c_lo = bisect_left(cmp_rows, first)
+        c_hi = bisect_left(cmp_rows, last)
+        cmps = [                                     # (idx, disp, reg)
+            (cmp_rows[j] - first, *cmp_facts[j]) for j in range(c_lo, c_hi)
+        ]
 
         tail_cache: dict[int, bool] = {}
         protected = False
         backward_charges = 0
         forward_charges = 0
 
-        for idx, src_num, disp in stores:
+        for j in range(lo, hi):
+            row = store_rows[j]
+            idx = row - first
+            src_num, disp = store_facts[j]
             # (a) backward scan to the defining instruction.
-            wlist = writes_by_reg.get(src_num, ())
-            pos = bisect_left(wlist, idx)
-            defining_idx = wlist[pos - 1] if pos else None
-            if defining_idx is not None:
+            defining = wreg.rfind(src_num, first, row)
+            if defining >= 0:
+                defining_idx = defining - first
                 backward_charges += idx - defining_idx
             else:
+                defining_idx = None
                 backward_charges += idx
             # (b) forward scan for the first matching cmp with a valid tail.
             match_charge = n  # examined everything when nothing matches
@@ -228,7 +239,7 @@ class StackProtectionPolicy(PolicyModule):
                     continue
                 ok = tail_cache.get(cmp_idx)
                 if ok is None:
-                    ok = self._tail_ok(ctx, body, cmp_idx, cmp_reg)
+                    ok = self._tail_ok(ctx, first, last, cmp_idx, cmp_reg)
                     tail_cache[cmp_idx] = ok
                 if ok:
                     match_charge = cmp_idx + 1
@@ -237,7 +248,7 @@ class StackProtectionPolicy(PolicyModule):
             forward_charges += match_charge
 
             if found_tail and defining_idx is not None and _is_canary_load(
-                body[defining_idx], body[idx].operands[0]
+                ctx.instructions[first + defining_idx], src_num
             ):
                 protected = True
 
@@ -247,24 +258,26 @@ class StackProtectionPolicy(PolicyModule):
         return protected
 
     def _tail_ok(
-        self, ctx: PolicyContext, body: list[Instruction], cmp_idx: int, reg_num: int
+        self, ctx: PolicyContext, first: int, last: int, cmp_idx: int, reg_num: int
     ) -> bool:
         """cmp is preceded by the canary recompute and followed by
         ``jne -> callq __stack_chk_fail`` (alignment NOPs transparent)."""
         meter = ctx.meter
+        kind = ctx.columns.kind
+        insns = ctx.instructions
         prev = cmp_idx - 1
-        while prev >= 0 and body[prev].mnemonic in ("nop", "nopl"):
+        while prev >= 0 and kind[first + prev] == K_NOP:
             meter.charge("policy_compare")
             prev -= 1
-        if prev < 0 or not _is_canary_load(body[prev], Reg(reg_num, 64)):
+        if prev < 0 or not _is_canary_load(insns[first + prev], reg_num):
             return False
         nxt = cmp_idx + 1
-        while nxt < len(body) and body[nxt].mnemonic in ("nop", "nopl"):
+        while first + nxt < last and kind[first + nxt] == K_NOP:
             meter.charge("policy_compare")
             nxt += 1
-        if nxt >= len(body):
+        if first + nxt >= last:
             return False
-        jne = body[nxt]
+        jne = insns[first + nxt]
         if jne.mnemonic != "jne" or jne.target is None:
             return False
         fail_call = ctx.at(jne.target)

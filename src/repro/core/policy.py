@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import abc
 import bisect
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..elf import ElfImage
 from ..errors import PolicyError
 from ..sgx.cpu import CycleMeter
-from ..x86 import Instruction
+from ..x86 import Columns, Instruction, as_columns
+from ..x86.decoder import K_CALL, K_ICALL, K_IJMP
 
 __all__ = [
     "SymbolHashTable", "PolicyContext", "PolicyResult", "PolicyModule",
-    "PolicyRegistry",
+    "PolicyRegistry", "FrozenMapping",
 ]
 
 #: cap on recorded violations — the report must stay small and content-free
@@ -90,6 +92,12 @@ class PolicyContext:
     Offsets are *text-relative* throughout: instruction offsets, symbol
     addresses, and branch targets all use the same coordinate system.
 
+    ``columns`` is the decoded buffer in column form (offsets, kinds,
+    targets, written registers — see :class:`~repro.x86.decoder.Columns`);
+    policies scan it directly and index ``instructions`` — a lazy
+    ``Sequence[Instruction]`` over the same rows — only for the few rows
+    an instruction-level match or a report needs.
+
     With ``cached=True`` (the default) the context lazily computes shared
     views of the instruction buffer — call-site lists, the sorted function
     boundary table, per-function instruction extents — so the policy
@@ -101,7 +109,7 @@ class PolicyContext:
     call and is used by the differential reference path.
     """
 
-    instructions: list[Instruction]
+    instructions: Sequence[Instruction]
     symtab: SymbolHashTable
     image: ElfImage
     meter: CycleMeter
@@ -109,15 +117,20 @@ class PolicyContext:
     index_by_offset: dict[int, int] = field(default_factory=dict)
     #: enable the shared lazily-computed views below
     cached: bool = True
+    #: the rows behind ``instructions`` (derived from them when omitted)
+    columns: Columns | None = None
 
     def __post_init__(self) -> None:
+        if self.columns is None:
+            self.columns = as_columns(self.instructions)
         if not self.index_by_offset:
-            self.index_by_offset = {
-                insn.offset: i for i, insn in enumerate(self.instructions)
-            }
-        self._call_sites: tuple[list[Instruction], list[int]] | None = None
+            # shared with the validator: built once per decoded buffer
+            self.index_by_offset = self.columns.by_offset()
+        self._call_sites: tuple[list[int], list[int]] | None = None
+        self._direct_calls: list[Instruction] | None = None
         self._starts_view: list[tuple[int, str]] | None = None
         self._extents: dict[int, tuple[int, int]] = {}
+        self._views: dict[str, object] = {}
         #: per-function verdict memo for delta re-inspection (set by the
         #: streamed pipeline; policies that support it consult it)
         self.delta = None
@@ -128,24 +141,40 @@ class PolicyContext:
 
     # ------------------------------------------------- shared prescan views
 
-    def _scan_call_sites(self) -> tuple[list[Instruction], list[int]]:
-        """One pass over the buffer collecting both call-site views."""
-        direct: list[Instruction] = []
-        indirect: list[int] = []
-        for i, insn in enumerate(self.instructions):
-            if insn.is_direct_call:
-                direct.append(insn)
-            if insn.is_indirect_call or insn.is_indirect_jump:
-                indirect.append(i)
-        return direct, indirect
+    def view(self, key: str, build):
+        """``build(self)``, memoised per context under *key* when cached.
 
-    def direct_calls(self) -> list[Instruction]:
-        """Direct call instructions, in buffer order (shared prescan)."""
+        For policy-specific derived views of the columns (pure functions
+        of the frozen buffer; they must not charge the meter).
+        """
+        if not self.cached:
+            return build(self)
+        value = self._views.get(key)
+        if value is None:
+            value = self._views[key] = build(self)
+        return value
+
+    def _scan_call_sites(self) -> tuple[list[int], list[int]]:
+        """Both call-site views, straight from the kind column."""
+        cols = self.columns
+        return cols.rows(K_CALL), cols.rows(K_ICALL, K_IJMP)
+
+    def direct_call_rows(self) -> list[int]:
+        """Indices of direct call instructions, in buffer order."""
         if not self.cached:
             return self._scan_call_sites()[0]
         if self._call_sites is None:
             self._call_sites = self._scan_call_sites()
         return self._call_sites[0]
+
+    def direct_calls(self) -> list[Instruction]:
+        """Direct call instructions, in buffer order."""
+        if self.cached and self._direct_calls is not None:
+            return self._direct_calls
+        calls = [self.instructions[i] for i in self.direct_call_rows()]
+        if self.cached:
+            self._direct_calls = calls
+        return calls
 
     def indirect_calls(self) -> list[int]:
         """Indices of indirect call/jump sites, in buffer order."""
@@ -215,11 +244,54 @@ class PolicyResult:
         self.compliant = False
 
 
+class FrozenMapping(Mapping):
+    """A read-only copy of a mapping (picklable, unlike ``MappingProxyType``),
+    for configuration that must not change once agreed."""
+
+    def __init__(self, data=()) -> None:
+        self._data = dict(data)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __repr__(self) -> str:
+        return f"FrozenMapping({self._data!r})"
+
+
 class PolicyModule(abc.ABC):
     """Base class for policy modules."""
 
     #: stable identifier used in the provider/client agreement
     name: str = "abstract"
+    #: the attributes :meth:`config_digest` reads, each holding an
+    #: immutable value.  Declaring them fixes them once the module is
+    #: registered (rebinding raises), which lets the registry compute its
+    #: digest once.  ``None`` — undeclared — makes the registry recompute
+    #: the digest on every call instead.
+    config_fields: tuple[str, ...] | None = None
+    _registered = False
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._registered and name in (self.config_fields or ()):
+            raise PolicyError(
+                f"policy {self.name!r}: {name!r} is part of the agreed "
+                "configuration and is fixed once the module is registered"
+            )
+        object.__setattr__(self, name, value)
+
+    @property
+    def config_fixed(self) -> bool:
+        """True when :meth:`config_digest` can no longer change."""
+        return self._registered and (
+            self.config_fields is not None
+            or type(self).config_digest is PolicyModule.config_digest
+        )
 
     @abc.abstractmethod
     def check(self, ctx: PolicyContext) -> PolicyResult:
@@ -249,13 +321,16 @@ class PolicyRegistry:
 
     def __init__(self, modules: list[PolicyModule] | None = None) -> None:
         self._modules: dict[str, PolicyModule] = {}
+        self._digest: bytes | None = None
         for module in modules or []:
             self.register(module)
 
     def register(self, module: PolicyModule) -> None:
         if module.name in self._modules:
             raise PolicyError(f"duplicate policy module {module.name!r}")
+        object.__setattr__(module, "_registered", True)
         self._modules[module.name] = module
+        self._digest = None
 
     def __iter__(self):
         return iter(self._modules.values())
@@ -273,9 +348,20 @@ class PolicyRegistry:
         digest, so attestation certifies the exact policy set — a
         same-named module with a different hash database or exemption
         list yields a different MRENCLAVE.
+
+        Computed once per registry (every SUBMIT's cache key and every
+        provision's expected measurement read it) while every module's
+        configuration is fixed; a module with undeclared configuration
+        is re-digested on every call, so a changed configuration can
+        never be served under the old digest.
         """
+        if self._digest is not None:
+            return self._digest
         parts = []
         for name in sorted(self._modules):
             config = self._modules[name].config_digest()
             parts.append(name.encode() + b"\x00" + config)
-        return b"\x01".join(parts)
+        material = b"\x01".join(parts)
+        if all(module.config_fixed for module in self._modules.values()):
+            self._digest = material
+        return material

@@ -226,7 +226,7 @@ class CloudProvider:
     ) -> None:
         self.policies = policies
         self.params = params or SgxParams()
-        #: streamed receive path: decrypt in place, overlap decode/prescan
+        #: streamed receive path: decrypt in place, overlap decode
         #: with the channel drain, and keep a delta index per benchmark so
         #: updated binaries only re-pay inspection for changed functions.
         #: Every wire byte, verdict byte, MRENCLAVE, and meter tick is
@@ -539,7 +539,7 @@ class CloudProvider:
 
         Records decrypt straight into one preallocated buffer
         (:meth:`SecureChannel.recv_into` — no per-record copies), and a
-        :class:`StreamingPipeline` speculatively decodes and prescans the
+        :class:`StreamingPipeline` speculatively decodes the
         text section as its bytes land, so disassembly overlaps the
         channel drain.  When a previous accepted image for the same
         benchmark is indexed, decode-during-receive is skipped entirely

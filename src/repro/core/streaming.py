@@ -1,4 +1,4 @@
-"""Streaming provisioning: overlapped decode/prescan + delta re-inspection.
+"""Streaming provisioning: overlapped decode + delta re-inspection.
 
 Two pieces the streamed receive path composes:
 
@@ -6,17 +6,18 @@ Two pieces the streamed receive path composes:
   record lands, it speculatively locates the text segment from the ELF and
   program headers (the writer places ``.text`` early and the symbol table
   at the end of the file, so code arrives long before symbols) and drives
-  a :class:`~repro.x86.StreamDecoder` plus a fused prescan over every
-  instruction the moment its bytes are available.  By the time the channel
-  drains, decode and the prescan artifacts the validator and the policy
-  context need (offset index, branch/terminator indices, call-site lists)
-  are already done.  The pipeline is *speculative and fail-safe*: the
-  disassembler verifies the scanned bytes against the exactly-parsed image
-  and falls back to the phased path on any mismatch or decode error.
+  a :class:`~repro.x86.StreamDecoder` over every instruction the moment
+  its bytes are available.  The stream decoder fills the same
+  :class:`~repro.x86.Columns` the phased decode does, so by the time the
+  channel drains everything the validator and the policy context read
+  (offsets, kinds, targets, the bundle offender) is already there.  The
+  pipeline is *speculative and fail-safe*: the disassembler verifies the
+  scanned bytes against the exactly-parsed image and falls back to the
+  phased path on any mismatch or decode error.
 
 * Delta re-inspection — :func:`cdc_chunks` content-defined chunking over
   the text, :class:`DeltaIndex` remembering the previous version's chunk
-  table and decoded tokens, :func:`delta_scan` splicing clean token runs
+  table and decoded rows, :func:`delta_scan` splicing clean row runs
   with freshly-decoded dirty function extents, and
   :class:`FunctionVerdictMemo` caching per-function stack-protection
   verdicts keyed by the function's bytes (plus every byte the original
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 from ..elf.constants import ELF_MAGIC, PF_X, PT_LOAD
 from ..errors import DecodeError
-from ..x86 import BUNDLE_SIZE, Instruction, StreamDecoder, iter_decode
+from ..x86 import Columns, Instruction, StreamDecoder
 
 __all__ = [
     "StreamScan",
@@ -51,35 +52,26 @@ __all__ = [
 _EHDR = struct.Struct("<16sHHIQQQIHHHHHH")
 _PHDR = struct.Struct("<IIQQQQQQ")
 
-_TERMINATORS = frozenset(("ret", "retq", "jmp", "jmpq", "ud2", "hlt"))
-
-
 # --------------------------------------------------------------------------
-# Streamed decode + fused prescan
+# Streamed decode
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class StreamScan:
-    """Artifacts of one streamed (or delta-spliced) decode of a text blob.
+    """The column decode of a text blob, streamed (or delta-spliced).
 
     ``code`` is the byte slice the scan decoded; the disassembler only
     trusts the scan after verifying ``code`` equals the text section of
-    the exactly-parsed image.  ``bundle_violation`` is *recorded*, never
-    raised, during decode — decode errors must keep precedence exactly as
-    in the phased order, so the fast validator raises it in the
-    check-bundles position instead.
+    the exactly-parsed image.  ``columns`` carries everything the
+    validator and the policy context need — offsets, kinds, targets,
+    the first bundle offender (recorded, never raised, during decode:
+    decode errors must keep precedence exactly as in the phased order)
+    and the shared offset index.
     """
 
     code: bytes
-    instructions: list[Instruction]
-    by_offset: dict[int, int]
-    branch_idx: list[int]
-    term_idx: list[int]
-    direct_calls: list[Instruction]
-    indirect_idx: list[int]
-    bundle_violation: tuple[int, str, int] | None
-    n_bytes: int
+    columns: Columns
     error: DecodeError | None = None
     #: per-function verdict memo the provider threads into the policy
     #: context (None outside delta-capable provisioning)
@@ -92,39 +84,17 @@ class StreamScan:
     def from_instructions(
         cls, code: bytes, instructions: list[Instruction]
     ) -> "StreamScan":
-        """Rebuild every prescan artifact with one pass over a token list."""
-        scan = cls(
-            code=code, instructions=instructions, by_offset={},
-            branch_idx=[], term_idx=[], direct_calls=[], indirect_idx=[],
-            bundle_violation=None, n_bytes=0,
-        )
-        by_offset = scan.by_offset
-        branch_append = scan.branch_idx.append
-        term_append = scan.term_idx.append
-        direct_append = scan.direct_calls.append
-        indirect_append = scan.indirect_idx.append
-        for i, insn in enumerate(instructions):
-            offset = insn.offset
-            end = offset + len(insn.raw)
-            by_offset[offset] = i
-            scan.n_bytes += end - offset
-            if (scan.bundle_violation is None
-                    and offset // BUNDLE_SIZE != (end - 1) // BUNDLE_SIZE):
-                scan.bundle_violation = (offset, insn.mnemonic, end - offset)
-            mnemonic = insn.mnemonic
-            if insn.target is not None:
-                branch_append(i)
-                if mnemonic == "callq":
-                    direct_append(insn)
-            elif mnemonic in ("callq", "jmp", "jmpq"):
-                indirect_append(i)
-            if mnemonic in _TERMINATORS:
-                term_append(i)
-        return scan
+        """The scan of an already-decoded token list."""
+        return cls(code=code, columns=Columns.from_instructions(instructions, code))
+
+    @property
+    def instructions(self):
+        """The decoded rows as a lazy ``Sequence[Instruction]``."""
+        return self.columns.instructions
 
 
 class StreamingPipeline:
-    """Incremental decode + prescan over the provisioning receive buffer.
+    """Incremental decode over the provisioning receive buffer.
 
     The provider preallocates one buffer for the announced content size
     and decrypts each record in place; after every record it calls
@@ -147,16 +117,12 @@ class StreamingPipeline:
         self._fed = 0
         self._decode_done = False
         self._valid = 0
-        # fused prescan accumulators
-        self.instructions: list[Instruction] = []
-        self.by_offset: dict[int, int] = {}
-        self.branch_idx: list[int] = []
-        self.term_idx: list[int] = []
-        self.direct_calls: list[Instruction] = []
-        self.indirect_idx: list[int] = []
-        self.bundle_violation: tuple[int, str, int] | None = None
-        self.n_bytes = 0
         self.error: DecodeError | None = None
+
+    @property
+    def instructions(self):
+        """Rows decoded so far, as a lazy ``Sequence[Instruction]``."""
+        return self._decoder.columns.instructions
 
     # ------------------------------------------------------------ headers
 
@@ -208,44 +174,17 @@ class StreamingPipeline:
             piece = bytes(self._buf[start:avail_end])
             self._fed += len(piece)
             try:
-                self._consume(self._decoder.feed(piece))
+                self._decoder.feed(piece)
             except DecodeError as exc:
                 self.error = exc
                 return
         if self._fed == self.text_size:
             try:
-                self._consume(self._decoder.finish(self.text_size))
+                self._decoder.finish(self.text_size)
             except DecodeError as exc:
                 self.error = exc
                 return
             self._decode_done = True
-
-    def _consume(self, insns: list[Instruction]) -> None:
-        instructions = self.instructions
-        by_offset = self.by_offset
-        branch_append = self.branch_idx.append
-        term_append = self.term_idx.append
-        direct_append = self.direct_calls.append
-        indirect_append = self.indirect_idx.append
-        for insn in insns:
-            i = len(instructions)
-            instructions.append(insn)
-            offset = insn.offset
-            end = offset + len(insn.raw)
-            by_offset[offset] = i
-            self.n_bytes += end - offset
-            if (self.bundle_violation is None
-                    and offset // BUNDLE_SIZE != (end - 1) // BUNDLE_SIZE):
-                self.bundle_violation = (offset, insn.mnemonic, end - offset)
-            mnemonic = insn.mnemonic
-            if insn.target is not None:
-                branch_append(i)
-                if mnemonic == "callq":
-                    direct_append(insn)
-            elif mnemonic in ("callq", "jmp", "jmpq"):
-                indirect_append(i)
-            if mnemonic in _TERMINATORS:
-                term_append(i)
 
     # ------------------------------------------------------------ results
 
@@ -271,14 +210,7 @@ class StreamingPipeline:
             return None  # stream ended before the announced text did
         return StreamScan(
             code=bytes(self._buf[self.text_off:self.text_off + self.text_size]),
-            instructions=self.instructions,
-            by_offset=self.by_offset,
-            branch_idx=self.branch_idx,
-            term_idx=self.term_idx,
-            direct_calls=self.direct_calls,
-            indirect_idx=self.indirect_idx,
-            bundle_violation=self.bundle_violation,
-            n_bytes=self.n_bytes,
+            columns=self._decoder.columns,
             error=self.error,
         )
 
@@ -604,22 +536,19 @@ class DeltaIndex:
     text_len: int = -1
     text_digest: bytes = b""
     chunks: list[tuple[int, int, bytes]] = field(default_factory=list)
-    instructions: list[Instruction] = field(default_factory=list)
-    by_offset: dict[int, int] = field(default_factory=dict)
+    #: the indexed version's decode (reused verbatim when the next
+    #: version's text is byte-identical)
+    columns: Columns = field(default_factory=Columns)
     #: sorted function-start byte offsets of the indexed version
     boundaries: list[int] = field(default_factory=list)
-    #: prescan artifacts of the indexed decode (reused verbatim when the
-    #: next version's text is byte-identical)
-    branch_idx: list[int] = field(default_factory=list)
-    term_idx: list[int] = field(default_factory=list)
-    direct_calls: list[Instruction] = field(default_factory=list)
-    indirect_idx: list[int] = field(default_factory=list)
-    bundle_violation: tuple[int, str, int] | None = None
-    n_bytes: int = 0
 
     @property
     def populated(self) -> bool:
         return self.text_len >= 0
+
+    @property
+    def instructions(self):
+        return self.columns.instructions
 
 
 def build_delta_index(
@@ -635,20 +564,13 @@ def build_delta_index(
     index.text_len = len(text)
     index.text_digest = digest
     index.chunks = scan.chunks if scan.chunks is not None else cdc_chunks(text)
-    index.instructions = scan.instructions
-    index.by_offset = scan.by_offset
+    index.columns = scan.columns
     index.boundaries = sorted(set(symbol_offsets))
-    index.branch_idx = scan.branch_idx
-    index.term_idx = scan.term_idx
-    index.direct_calls = scan.direct_calls
-    index.indirect_idx = scan.indirect_idx
-    index.bundle_violation = scan.bundle_violation
-    index.n_bytes = scan.n_bytes
     return index
 
 
 def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
-    """Splice the previous version's tokens with re-decoded dirty extents.
+    """Splice the previous version's rows with re-decoded dirty extents.
 
     Returns a :class:`StreamScan` equal to what a full decode of *text*
     would produce, or None whenever that equality cannot be proven cheaply
@@ -659,20 +581,8 @@ def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
     if not prev.populated or len(text) != prev.text_len:
         return None
     if hashlib.sha256(text).digest() == prev.text_digest:
-        # Identical bytes: the indexed decode and prescan ARE this text's
-        # decode — reuse every artifact without a rebuild pass.
-        return StreamScan(
-            code=text,
-            instructions=prev.instructions,
-            by_offset=prev.by_offset,
-            branch_idx=prev.branch_idx,
-            term_idx=prev.term_idx,
-            direct_calls=prev.direct_calls,
-            indirect_idx=prev.indirect_idx,
-            bundle_violation=prev.bundle_violation,
-            n_bytes=prev.n_bytes,
-            chunks=prev.chunks,
-        )
+        # Identical bytes: the indexed decode IS this text's decode.
+        return StreamScan(code=text, columns=prev.columns, chunks=prev.chunks)
     cur_chunks = cdc_chunks(text)
     dirty = _dirty_ranges(prev.chunks, cur_chunks)
     if dirty is None or not dirty:
@@ -690,17 +600,17 @@ def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
         lo = max(bisect_right(edges, d_start) - 1, 0)
         hi = bisect_right(edges, d_end - 1) - 1
         dirty_extents.update(range(lo, hi + 1))
-    spliced: list[Instruction] = []
-    prev_insns = prev.instructions
-    prev_by_offset = prev.by_offset
-    n_prev = len(prev_insns)
+    prev_cols = prev.columns
+    prev_by_offset = prev_cols.by_offset()
+    n_prev = len(prev_cols)
+    spliced = Columns(text)
     for k in range(len(edges) - 1):
         s, e = edges[k], edges[k + 1]
         if s == e:
             continue
         if k in dirty_extents:
             try:
-                spliced.extend(iter_decode(text, s, e))
+                spliced.scan(s, e)
             except DecodeError:
                 return None
         else:
@@ -710,7 +620,6 @@ def delta_scan(prev: DeltaIndex, text: bytes) -> StreamScan | None:
             last = prev_by_offset.get(e) if e < prev.text_len else n_prev
             if last is None:
                 return None
-            spliced.extend(prev_insns[first:last])
-    scan = StreamScan.from_instructions(text, spliced)
-    scan.chunks = cur_chunks
-    return scan
+            spliced.extend(prev_cols, first, last)
+    spliced.bundle_row = spliced.first_bundle_row()
+    return StreamScan(code=text, columns=spliced, chunks=cur_chunks)

@@ -134,6 +134,11 @@ class HostOS:
         runtime.heap_pages = heap_pages
 
         machine.einit(enclave)
+        # The machine's destroy() is the teardown, so forget the
+        # bookkeeping (page tables, sockets) of enclaves torn down since.
+        live = machine.enclaves
+        for eid in [eid for eid in self.runtimes if eid not in live]:
+            del self.runtimes[eid]
         self.runtimes[enclave.eid] = runtime
         return runtime
 

@@ -8,8 +8,11 @@ policies to inspect — nothing in the pipeline operates on mocked bytes.
 
 from .asm import BUNDLE_SIZE, Assembler, ExternalFixup, Label
 from .decoder import (
+    Columns,
+    InstructionView,
     StreamDecoder,
     decode_all,
+    decode_columns,
     decode_extent,
     decode_one,
     iter_decode,
@@ -24,9 +27,9 @@ from .registers import (
     GPR32, GPR64, Reg, reg_by_name, reg_name,
 )
 from .validator import (
+    as_columns,
     check_bundles,
     check_reachability,
-    check_reachability_fast,
     check_targets,
     validate,
     validate_fast,
@@ -35,8 +38,8 @@ from .validator import (
 __all__ = [
     "Assembler", "Label", "ExternalFixup", "BUNDLE_SIZE",
     "Enc",
-    "decode_one", "decode_all", "decode_extent", "iter_decode",
-    "StreamDecoder",
+    "decode_one", "decode_all", "decode_extent", "decode_columns",
+    "iter_decode", "StreamDecoder", "Columns", "InstructionView",
     "Instruction", "Mem", "Imm", "Operand",
     "Reg", "reg_name", "reg_by_name", "GPR64", "GPR32",
     "RAX", "RCX", "RDX", "RBX", "RSP", "RBP", "RSI", "RDI",
@@ -44,5 +47,5 @@ __all__ = [
     "EAX", "ECX", "EDX", "EBX", "ESP", "EBP", "ESI", "EDI",
     "R8D", "R9D", "R10D", "R11D", "R12D", "R13D", "R14D", "R15D",
     "validate", "validate_fast", "check_bundles", "check_targets",
-    "check_reachability", "check_reachability_fast",
+    "check_reachability", "as_columns",
 ]

@@ -1,38 +1,43 @@
 """Table-driven x86-64 decoder (the NaCl-style disassembler core).
 
-Decodes the same byte sequences the encoder produces — plus anything else
-within the supported subset — into :class:`~repro.x86.insn.Instruction`
-records carrying NaCl-style metadata (prefix/opcode/displacement/immediate
-byte counts).  Used by EnGarde's in-enclave disassembly stage.
+Two views of the same decode, sharing one set of opcode tables:
+
+* :class:`Columns` — the production form.  :func:`_scan`, the single
+  linear decode loop, sizes and classifies every instruction straight
+  from import-time tables (prefix, REX, opcode shape, ModRM/SIB
+  displacement sizes) and appends one row per instruction to parallel
+  arrays: offset, kind (the opcode class the validator and the policies
+  branch on), static target or packed stack slot, and the register
+  written.  Whole-buffer, extent and streamed decodes are thin wrappers
+  over that loop.
+* :class:`~repro.x86.insn.Instruction` records carrying NaCl-style
+  metadata (prefix/opcode/displacement/immediate byte counts), built by
+  the per-opcode handlers below.  Columns build them lazily, one row at
+  a time, only where a report, an error message or an instruction-level
+  matcher needs one.  The scan also hands every instruction it does not
+  size itself (segment prefixes, unsupported opcodes, truncation) to the
+  handlers, so each :class:`~repro.errors.DecodeError` keeps its exact
+  text and precedence.
 
 Unknown opcodes raise :class:`~repro.errors.DecodeError`; EnGarde converts
 that into a rejection of the client's binary, exactly as NaCl's validator
 rejects binaries it cannot disassemble unambiguously.
 
-This is the hot path of the whole inspection pipeline, so the decode loop
-is engineered accordingly:
-
-* opcode selection is a 256-entry handler dispatch table (plus a second
-  table for the ``0F`` page) built once at import, not a sequential
-  if/elif chain walked per instruction;
-* :func:`iter_decode` drives a single resumable cursor across the region
-  instead of re-slicing and re-bounds-checking from scratch per
-  instruction;
-* register operands come from the interned :data:`~repro.x86.registers.GPR64`
-  / :data:`~repro.x86.registers.GPR32` banks instead of fresh ``Reg``
-  allocations.
-
 The pre-optimization decoder is preserved verbatim in
-:mod:`repro.x86.refdecode`; differential tests assert both produce
-identical instruction streams and identical error messages.
+:mod:`repro.x86.refdecode`; differential tests assert the handlers, the
+column scan and the reference produce identical instruction streams and
+identical error messages.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
+import weakref
+from array import array
+from collections.abc import Iterator, Sequence
 
 from ..errors import DecodeError
+from .asm import BUNDLE_SIZE
 from .insn import Imm, Instruction, Mem
 from .opcodes import (
     CC_BY_CODE,
@@ -47,8 +52,11 @@ from .opcodes import (
 from .registers import GPR32, GPR64, Reg
 
 __all__ = [
-    "decode_one", "decode_all", "decode_extent", "iter_decode",
-    "StreamDecoder",
+    "decode_one", "decode_all", "decode_extent", "decode_columns",
+    "iter_decode", "StreamDecoder", "Columns", "InstructionView",
+    "unpack_slot", "TARGET_KINDS", "TERMINATOR_KINDS", "NO_REG",
+    "K_PLAIN", "K_NOP", "K_JCC", "K_CALL", "K_JMP", "K_ICALL", "K_IJMP",
+    "K_RET", "K_HALT", "K_STORE", "K_CMP",
 ]
 
 _I8 = struct.Struct("<b").unpack_from
@@ -70,12 +78,12 @@ _INSN_NEW = Instruction.__new__
 
 
 class _Cursor:
-    """Resumable byte reader with bounds checking over the code buffer.
+    """Byte reader with bounds checking over the code buffer.
 
-    One cursor decodes a whole region: per-instruction state (prefix
-    count, REX byte, segment override, operand width) lives on the cursor
-    and is reset by :func:`_decode_next`, so linear decoding never
-    re-slices or re-scans bytes it has already consumed.
+    Per-instruction state (prefix count, REX byte, segment override,
+    operand width) lives on the cursor and is set by
+    :func:`_decode_next`; the handlers read operands through it without
+    re-slicing the buffer.
     """
 
     __slots__ = ("code", "pos", "start", "rex", "seg", "wbits", "bank",
@@ -449,7 +457,7 @@ _DISPATCH_0F[0xAF] = _h_imul
 del _op
 
 
-# ------------------------------------------------------------ decode loop
+# ------------------------------------------------------ one instruction
 
 def _decode_next(cur: _Cursor) -> Instruction:
     """Decode the instruction at the cursor, advancing it past the end."""
@@ -521,24 +529,538 @@ def decode_one(code: bytes, offset: int) -> Instruction:
     return _decode_next(_Cursor(code, offset))
 
 
+# ------------------------------------------------------------ row kinds
+#
+# The column scan classifies every instruction into one *kind*: the
+# opcode classes the NaCl validator and the policy modules branch on.
+
+K_PLAIN = 0    #: anything not listed below
+K_NOP = 1      #: nop / nopl (alignment padding)
+K_JCC = 2      #: conditional branch; ``arg`` is the target
+K_CALL = 3     #: direct call; ``arg`` is the target
+K_JMP = 4      #: direct jmp; ``arg`` is the target
+K_ICALL = 5    #: indirect call (``ff /2``)
+K_IJMP = 6     #: indirect jmp (``ff /4``)
+K_RET = 7      #: ret
+K_HALT = 8     #: ud2 / hlt
+K_STORE = 9    #: ``mov %reg, disp(%base)``; ``arg`` packs the slot
+K_CMP = 10     #: ``cmp disp(%base), %reg``; ``arg`` packs the slot
+
+#: kinds whose ``arg`` column holds a static (text-relative) target
+TARGET_KINDS = (K_JCC, K_CALL, K_JMP)
+#: kinds after which control never falls through
+TERMINATOR_KINDS = (K_JMP, K_IJMP, K_RET, K_HALT)
+#: ``wreg`` value for "writes no general-purpose register"
+NO_REG = 0xFF
+
+
+def unpack_slot(arg: int) -> tuple[int, int, int]:
+    """``(reg, base, disp)`` of a :data:`K_STORE` / :data:`K_CMP` row.
+
+    The memory operand is a plain ``disp(%base)`` — no segment override,
+    no index, not RIP-relative — and ``reg`` is the register operand.
+    """
+    return (arg >> 4) & 15, arg & 15, arg >> 8
+
+
+def _facts(insn: Instruction) -> tuple[int, int, int]:
+    """``(kind, arg, wreg)`` of a decoded instruction.
+
+    The definition of the three per-row columns, stated over the object
+    form: the column scan must agree with this on every row (the scan
+    falls back to it for the rare rows it does not decode itself, and
+    the differential tests pin the agreement).  ``wreg`` follows the
+    policies' "defines a register" rule: the last operand is a register
+    and the mnemonic is not ``cmp``/``test``/``push``.
+    """
+    mnem = insn.mnemonic
+    ops = insn.operands
+    target = insn.target
+    arg = 0
+    if target is not None:
+        kind = (K_CALL if mnem == "callq"
+                else K_JMP if mnem in ("jmp", "jmpq") else K_JCC)
+        arg = target
+    elif mnem == "callq":
+        kind = K_ICALL
+    elif mnem in ("jmp", "jmpq"):
+        kind = K_IJMP
+    elif mnem in ("ret", "retq"):
+        kind = K_RET
+    elif mnem in ("ud2", "hlt"):
+        kind = K_HALT
+    elif mnem in ("nop", "nopl"):
+        kind = K_NOP
+    else:
+        kind = K_PLAIN
+        if mnem in ("mov", "cmp") and len(ops) == 2:
+            reg, mem = (ops[0], ops[1]) if mnem == "mov" else (ops[1], ops[0])
+            if (isinstance(reg, Reg) and isinstance(mem, Mem)
+                    and mem.base is not None and mem.index is None
+                    and mem.seg is None):
+                kind = K_STORE if mnem == "mov" else K_CMP
+                arg = (mem.disp << 8) | (reg.num << 4) | mem.base.num
+    wreg = NO_REG
+    if ops:
+        dst = ops[-1]
+        if isinstance(dst, Reg) and mnem not in ("cmp", "test", "push"):
+            wreg = dst.num
+    return kind, arg, wreg
+
+
+# ------------------------------------------------------ scan tables
+#
+# One entry per opcode: index ``b`` for the one-byte map, ``0x100 + b``
+# for the ``0F`` page.  Built once at import from the same handler
+# tables the object decoder uses, so the two cannot disagree about which
+# opcodes exist.
+
+_S_SLOW = 0    # not decoded by the scan: take the handler path
+_S_NONE = 1    # opcode only
+_S_MODRM = 2   # ModRM (+SIB +disp) (+imm)
+_S_REL8 = 3    # rel8 target
+_S_REL32 = 4   # rel32 target
+_S_MOVI = 5    # mov $imm, %reg (imm32, or imm64 under REX.W)
+_S_0F = 6      # two-byte escape
+
+_W_NONE = 0    # writes no register
+_W_REG = 1     # writes ModRM.reg
+_W_RM = 2      # writes ModRM.rm when it names a register
+_W_OP = 3      # writes the register in the opcode's low bits
+
+_SHAPE = bytearray(512)
+_KIND = bytearray(512)
+_IMM = [0] * 512            # immediate bytes after ModRM; -1: f7 (test only)
+_WMODE = bytearray(512)
+_EXT_OK = bytearray(b"\xff" * 512)   # bitmask of valid ModRM.reg extensions
+_EXT_NOWRITE = bytearray(b"\x08" * 512)  # extension that writes nothing
+
+for _op, _h in enumerate(_DISPATCH + _DISPATCH_0F):
+    if _h is None:
+        continue
+    if _h in (_h_push, _h_nop, _h_ret, _h_leave, _h_int3, _h_hlt,
+              _h_syscall, _h_ud2):
+        _SHAPE[_op] = _S_NONE
+    elif _h in (_h_jcc8, _h_jmp_rel8):
+        _SHAPE[_op] = _S_REL8
+    elif _h in (_h_call_rel32, _h_jmp_rel32, _h_jcc32):
+        _SHAPE[_op] = _S_REL32
+    elif _h is _h_mov_imm_reg:
+        _SHAPE[_op] = _S_MOVI
+        _WMODE[_op] = _W_OP
+    elif _h is _h_twobyte:
+        _SHAPE[_op] = _S_0F
+    elif _h is _h_pop:
+        _SHAPE[_op] = _S_NONE
+        _WMODE[_op] = _W_OP
+    else:
+        _SHAPE[_op] = _S_MODRM
+        if _h in (_h_rm, _h_lea, _h_movsxd, _h_cmov, _h_imul):
+            _WMODE[_op] = _W_REG
+        else:
+            _WMODE[_op] = _W_RM
+for _op in (0x39, 0x3B, 0x85):       # cmp / test write nothing
+    _WMODE[_op] = _W_NONE
+for _op in range(0x70, 0x80):
+    _KIND[_op] = K_JCC
+for _op in range(0x180, 0x190):
+    _KIND[_op] = K_JCC
+_KIND[0x90] = _KIND[0x11F] = K_NOP
+_KIND[0xC3] = K_RET
+_KIND[0xF4] = _KIND[0x10B] = K_HALT
+_KIND[0xE8] = K_CALL
+_KIND[0xE9] = _KIND[0xEB] = K_JMP
+_KIND[0x89] = K_STORE                # when the destination is a plain slot
+_KIND[0x3B] = K_CMP                  # when the source is a plain slot
+_IMM[0x81] = _IMM[0xC7] = 4
+_IMM[0x83] = _IMM[0xC1] = 1
+_IMM[0xF7] = -1
+_EXT_OK[0xC1] = sum(1 << e for e in GROUP2)
+_EXT_OK[0xC7] = 1
+_EXT_OK[0xF7] = sum(1 << e for e in GROUP3)
+_EXT_OK[0xFF] = sum(1 << e for e in GROUP5)
+_EXT_NOWRITE[0x81] = _EXT_NOWRITE[0x83] = 7    # cmp $imm
+_EXT_NOWRITE[0xF7] = 0                          # test $imm
+_EXT_NOWRITE[0xFF] = 6                          # push
+#: ff /2 and ff /4 are the indirect call / jmp kinds
+_FF_KIND = bytearray(8)
+_FF_KIND[2] = K_ICALL
+_FF_KIND[4] = K_IJMP
+
+# Bytes after the ModRM byte for a memory operand (SIB + displacement);
+# -1 marks mod=00 rm=100, where the SIB base decides.
+_MRM_EXTRA = bytearray(256)
+for _m in range(256):
+    _mod, _rm = _m >> 6, _m & 7
+    if _mod == 3:
+        continue
+    _disp = {0: 0, 1: 1, 2: 4}[_mod]
+    if _rm == 4:
+        _MRM_EXTRA[_m] = 0xFF if _mod == 0 else 1 + _disp
+    elif _mod == 0 and _rm == 5:
+        _MRM_EXTRA[_m] = 4
+    else:
+        _MRM_EXTRA[_m] = _disp
+
+del _op, _h, _m, _mod, _rm, _disp
+
+
+# ------------------------------------------------------------ the scan
+
+def _scan(cols: "Columns", code: bytes, pos: int, until: int, limit: int) -> None:
+    """The single linear decode loop: append one row per instruction.
+
+    Decodes instructions starting at *pos* while the next one starts
+    before *until*; every instruction must end by *limit*.  Common
+    encodings are sized, classified and target-resolved straight from
+    the opcode tables; anything else (segment prefixes, unsupported
+    opcodes, invalid group extensions, truncation) is handed to the
+    object decoder for that one instruction, so every
+    :class:`~repro.errors.DecodeError` keeps its exact text and
+    precedence.  On error the rows decoded so far stay in *cols*.
+    """
+    off_append = cols.off.append
+    kind_append = cols.kind.append
+    arg_append = cols.arg.append
+    wreg_append = cols.wreg.append
+    shape_of = _SHAPE
+    kind_of = _KIND
+    wmode_of = _WMODE
+    extra_of = _MRM_EXTRA
+    bundle_size = BUNDLE_SIZE
+    ncode = len(code)
+    bundle = cols.bundle_row
+    row = len(cols.off)
+    try:
+        while pos < until:
+            k = -1
+            try:
+                b = code[pos]
+                p = pos + 1
+                opsize = b == 0x66
+                if opsize:
+                    b = code[p]
+                    p += 1
+                rex = 0
+                if 0x40 <= b <= 0x4F:
+                    rex = b
+                    b = code[p]
+                    p += 1
+                shape = shape_of[b]
+                if shape == _S_0F:
+                    b = 0x100 + code[p]
+                    p += 1
+                    shape = shape_of[b]
+                if opsize and b != 0x90 and b != 0x11F:
+                    shape = _S_SLOW
+                a = 0
+                w = NO_REG
+                if shape == _S_MODRM:
+                    m = code[p]
+                    ext = (m >> 3) & 7
+                    if (_EXT_OK[b] >> ext) & 1:
+                        k = kind_of[b]
+                        mode = wmode_of[b]
+                        if mode == _W_REG:
+                            w = ((rex & 4) << 1) | ext
+                        elif mode == _W_RM and m >= 0xC0:
+                            w = ((rex & 1) << 3) | (m & 7)
+                        if ext == _EXT_NOWRITE[b]:
+                            w = NO_REG
+                        imm = _IMM[b]
+                        if imm < 0:
+                            imm = 4 if ext == 0 else 0
+                        if m >= 0xC0:
+                            p += 1
+                            if k >= K_STORE:
+                                k = K_PLAIN
+                            elif b == 0xFF:
+                                k = _FF_KIND[ext]
+                            elif b == 0x8D:
+                                k = -1          # lea needs a memory operand
+                        else:
+                            x = extra_of[m]
+                            if k >= K_STORE:
+                                # mov-store / cmp: record a plain slot
+                                rm = m & 7
+                                base = -1
+                                if rm == 4:
+                                    sib = code[p + 1]
+                                    if (((rex & 2) << 2) | ((sib >> 3) & 7)) == 4 \
+                                            and (m >= 0x40 or sib & 7 != 5):
+                                        base = ((rex & 1) << 3) | (sib & 7)
+                                    dpos = p + 2
+                                elif m >= 0x40 or rm != 5:
+                                    base = ((rex & 1) << 3) | rm
+                                    dpos = p + 1
+                                if base < 0:
+                                    k = K_PLAIN
+                                else:
+                                    if m < 0x40:
+                                        disp = 0
+                                    elif m < 0x80:
+                                        disp = code[dpos]
+                                        if disp > 127:
+                                            disp -= 256
+                                    else:
+                                        disp = int.from_bytes(
+                                            code[dpos:dpos + 4], "little",
+                                            signed=True)
+                                    a = (disp << 8) | (((rex & 4) << 1 | ext) << 4) | base
+                            elif b == 0xFF:
+                                k = _FF_KIND[ext]
+                            if x == 0xFF:
+                                x = 5 if code[p + 1] & 7 == 5 else 1
+                            p += 1 + x
+                        p += imm
+                elif shape == _S_NONE:
+                    k = kind_of[b]
+                    if wmode_of[b]:
+                        w = ((rex & 1) << 3) | (b & 7)
+                elif shape == _S_REL8:
+                    rel = code[p]
+                    p += 1
+                    a = p + (rel - 256 if rel > 127 else rel)
+                    k = kind_of[b]
+                elif shape == _S_REL32:
+                    p += 4
+                    if p <= ncode:
+                        a = p + int.from_bytes(code[p - 4:p], "little", signed=True)
+                        k = kind_of[b]
+                elif shape == _S_MOVI:
+                    p += 8 if rex & 8 else 4
+                    w = ((rex & 1) << 3) | (b & 7)
+                    k = K_PLAIN
+            except IndexError:
+                k = -1
+            if k < 0 or p > ncode:
+                insn = _decode_next(_Cursor(code, pos))
+                p = insn.offset + len(insn.raw)
+                k, a, w = _facts(insn)
+                cols._insns[row] = insn
+            if p > limit:
+                cols._insns.pop(row, None)
+                raise DecodeError(
+                    f"instruction at {pos:#x} extends past region end {limit:#x}"
+                )
+            if bundle < 0 and pos // bundle_size != (p - 1) // bundle_size:
+                bundle = row
+            off_append(pos)
+            kind_append(k)
+            arg_append(a)
+            wreg_append(w)
+            row += 1
+            pos = p
+    finally:
+        cols.end = pos
+        cols.bundle_row = bundle
+
+
+# ------------------------------------------------------------ columns
+
+class Columns:
+    """One text region decoded into parallel arrays, one row per
+    instruction.
+
+    * ``off`` — text-relative offset of the row's first byte;
+    * ``kind`` — one of the ``K_*`` opcode classes;
+    * ``arg`` — the static target of :data:`TARGET_KINDS` rows (may be
+      negative), the packed slot of :data:`K_STORE`/:data:`K_CMP` rows
+      (see :func:`unpack_slot`), 0 otherwise;
+    * ``wreg`` — number of the register the row writes, or
+      :data:`NO_REG`.
+
+    Rows are contiguous: row ``i`` ends where row ``i + 1`` starts, and
+    the last row ends at ``end``.  ``bundle_row`` is the first row that
+    straddles a ``BUNDLE_SIZE``-byte boundary (-1: none).
+
+    :class:`~repro.x86.insn.Instruction` objects are built only on
+    demand — :meth:`insn` re-decodes the row's bytes through the object
+    decoder and caches the result — so reports, error text and
+    instruction-level matchers see exactly what a whole-buffer
+    :func:`decode_all` would have produced.
+    """
+
+    __slots__ = ("code", "off", "kind", "arg", "wreg", "end", "bundle_row",
+                 "_insns", "_view", "_by_offset")
+
+    def __init__(self, code: bytes = b"", start: int = 0) -> None:
+        self.code = code
+        self.off = array("q")
+        self.kind = bytearray()
+        self.arg = array("q")
+        self.wreg = bytearray()
+        self.end = start
+        self.bundle_row = -1
+        self._insns: dict[int, Instruction] = {}
+        self._view = None  # weak: a strong back-reference would be a cycle
+        self._by_offset: dict[int, int] | None = None
+
+    @classmethod
+    def from_instructions(cls, insns, code: bytes = b"") -> "Columns":
+        """Columns of an already-decoded, contiguous instruction list.
+
+        The given objects become the row cache, so nothing is re-decoded.
+        """
+        insns = list(insns)
+        cols = cls(code, insns[0].offset if insns else 0)
+        for insn in insns:
+            kind, arg, wreg = _facts(insn)
+            cols.off.append(insn.offset)
+            cols.kind.append(kind)
+            cols.arg.append(arg)
+            cols.wreg.append(wreg)
+        if insns:
+            cols.end = insns[-1].end
+        cols._insns = dict(enumerate(insns))
+        cols.bundle_row = cols.first_bundle_row()
+        return cols
+
+    def __len__(self) -> int:
+        return len(self.off)
+
+    def row_end(self, i: int) -> int:
+        """Offset one past row *i*'s last byte."""
+        return self.off[i + 1] if i + 1 < len(self.off) else self.end
+
+    def target(self, i: int) -> int | None:
+        """Row *i*'s static target, or None."""
+        return self.arg[i] if self.kind[i] in TARGET_KINDS else None
+
+    def insn(self, i: int) -> Instruction:
+        """The :class:`Instruction` of row *i*, decoded on first use."""
+        insn = self._insns.get(i)
+        if insn is None:
+            insn = self._insns[i] = _decode_next(_Cursor(self.code, self.off[i]))
+        return insn
+
+    @property
+    def instructions(self) -> "InstructionView":
+        """All rows as a lazy ``Sequence[Instruction]`` (the same object
+        while anyone holds it)."""
+        view = self._view() if self._view is not None else None
+        if view is None:
+            view = InstructionView(self)
+            self._view = weakref.ref(view)
+        return view
+
+    def by_offset(self) -> dict[int, int]:
+        """Offset -> row index, built once and shared by every consumer."""
+        index = self._by_offset
+        if index is None or len(index) != len(self.off):
+            index = self._by_offset = dict(zip(self.off, range(len(self.off))))
+        return index
+
+    def rows(self, *kinds: int) -> list[int]:
+        """Sorted indices of every row whose kind is one of *kinds*."""
+        kind = self.kind
+        find = kind.find
+        out: list[int] = []
+        for k in kinds:
+            i = find(k)
+            while i >= 0:
+                out.append(i)
+                i = find(k, i + 1)
+        if len(kinds) > 1:
+            out.sort()
+        return out
+
+    def first_bundle_row(self, bundle_size: int = BUNDLE_SIZE) -> int:
+        """First row straddling a *bundle_size*-byte boundary, or -1."""
+        off = self.off
+        n = len(off)
+        for i in range(n):
+            start = off[i]
+            end = off[i + 1] if i + 1 < n else self.end
+            if start // bundle_size != (end - 1) // bundle_size:
+                return i
+        return -1
+
+    def extend(self, other: "Columns", first: int, last: int) -> None:
+        """Append rows ``[first, last)`` of *other* (same code bytes at the
+        same offsets), keeping ``end`` contiguous."""
+        if first >= last:
+            return
+        self.off.extend(other.off[first:last])
+        self.kind += other.kind[first:last]
+        self.arg.extend(other.arg[first:last])
+        self.wreg += other.wreg[first:last]
+        self.end = other.row_end(last - 1)
+
+    def scan(self, start: int, end: int) -> None:
+        """Decode ``[start, end)`` of ``self.code`` onto the rows."""
+        _scan(self, self.code, start, end, end)
+
+
+class InstructionView(Sequence):
+    """Rows ``[lo, hi)`` of a :class:`Columns` as a ``Sequence`` of
+    :class:`Instruction` objects, each built on first access.  With
+    ``hi=None`` the view follows the columns as they grow."""
+
+    __slots__ = ("_cols", "_lo", "_hi", "__weakref__")
+
+    def __init__(self, cols: Columns, lo: int = 0, hi: int | None = None) -> None:
+        self._cols = cols
+        self._lo = lo
+        self._hi = hi
+
+    @property
+    def columns(self) -> Columns:
+        return self._cols
+
+    @property
+    def whole(self) -> bool:
+        """True when the view covers every row of its columns."""
+        return self._lo == 0 and self._hi is None
+
+    def __len__(self) -> int:
+        hi = len(self._cols) if self._hi is None else self._hi
+        return hi - self._lo
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            return [self._cols.insn(self._lo + j) for j in range(*i.indices(n))]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("instruction index out of range")
+        return self._cols.insn(self._lo + i)
+
+    def __iter__(self):
+        insn = self._cols.insn
+        for i in range(self._lo, self._lo + len(self)):
+            yield insn(i)
+
+
+# ------------------------------------------------------------ wrappers
+
+def decode_columns(code: bytes, start: int = 0, end: int | None = None) -> Columns:
+    """Decode [start, end) into :class:`Columns` (raises on a bad region)."""
+    if type(code) is not bytes:
+        code = bytes(code)
+    end = len(code) if end is None else end
+    cols = Columns(code, start)
+    _scan(cols, code, start, end, end)
+    return cols
+
+
 def iter_decode(code: bytes, start: int = 0, end: int | None = None) -> Iterator[Instruction]:
     """Linearly decode [start, end) — the NaCl 'sequential decode' pass.
 
-    Runs a single resumable cursor over the region: each instruction picks
-    up exactly where the previous one ended, with no per-instruction
-    cursor construction or re-slicing.
+    Yields every instruction decoded before a :class:`DecodeError`, then
+    raises it, exactly as an instruction-at-a-time loop would.
     """
     if type(code) is not bytes:
         code = bytes(code)
     end = len(code) if end is None else end
-    cur = _Cursor(code, start)
-    while cur.pos < end:
-        insn = _decode_next(cur)
-        if insn.end > end:
-            raise DecodeError(
-                f"instruction at {insn.offset:#x} extends past region end {end:#x}"
-            )
-        yield insn
+    cols = Columns(code, start)
+    try:
+        _scan(cols, code, start, end, end)
+    except DecodeError as exc:
+        yield from cols.instructions
+        raise exc
+    yield from cols.instructions
 
 
 def decode_all(code: bytes, start: int = 0, end: int | None = None) -> list[Instruction]:
@@ -547,113 +1069,92 @@ def decode_all(code: bytes, start: int = 0, end: int | None = None) -> list[Inst
 
 
 def decode_extent(
-    code: bytes, start: int, end: int, out: list[Instruction] | None = None,
-) -> tuple[list[Instruction], int]:
+    code: bytes, start: int, end: int, out: Columns | None = None,
+) -> tuple[Columns, int]:
     """Decode one extent of a larger region: [start, stop) within *code*.
 
-    Unlike :func:`iter_decode` with an ``end``, the *extent* boundary is
-    not the region boundary: the decode stops once the cursor reaches
+    Unlike :func:`decode_columns` with an ``end``, the *extent* boundary
+    is not the region boundary: the decode stops once the cursor reaches
     *end*, but instructions may legally extend past it (the caller
     detects that as a stitch mismatch), and the past-the-end error is
     raised against ``len(code)`` — exactly the error a whole-buffer
-    ``iter_decode(code, 0, len(code))`` would raise at the same byte.
+    decode would raise at the same byte.
 
-    Returns ``(instructions, pos)`` where *pos* is the cursor position
-    after the last decoded instruction.  A concatenation of extent
-    decodes whose positions stitch exactly (each extent's *pos* equals
-    the next extent's *start*) is provably identical to the single
-    linear decode, because both drive the same resumable cursor over
-    the same bytes from the same offsets.
+    Returns ``(columns, pos)`` where *pos* is the position after the
+    last decoded row.  Extent decodes whose positions stitch exactly
+    (each extent's *pos* equals the next extent's *start*) are identical
+    to the single linear decode: the same loop over the same bytes from
+    the same offsets.
 
-    Pass *out* (a list) to receive instructions as they decode — on a
-    :class:`DecodeError` the caller then still holds every instruction
-    completed before the failure, which the extent-split merge needs to
-    replay the serial decode's partial charges exactly.
+    Pass *out* (a fresh :class:`Columns` over *code*) to keep the rows
+    decoded before a :class:`DecodeError` — the extent-split merge needs
+    them to replay the serial decode's partial charges exactly.
     """
     if type(code) is not bytes:
         code = bytes(code)
-    limit = len(code)
-    cur = _Cursor(code, start)
     if out is None:
-        out = []
-    append = out.append
-    while cur.pos < end:
-        insn = _decode_next(cur)
-        if insn.end > limit:
-            raise DecodeError(
-                f"instruction at {insn.offset:#x} extends past region end "
-                f"{limit:#x}"
-            )
-        append(insn)
-    return out, cur.pos
+        out = Columns(code, start)
+    _scan(out, code, start, end, len(code))
+    return out, out.end
 
 
 class StreamDecoder:
     """Chunk-resumable linear decode over a byte stream.
 
-    Drives the same resumable :class:`_Cursor` as :func:`iter_decode`, but
-    over a buffer that grows as channel records arrive.  ``feed`` decodes
-    every instruction that *provably* fits in the bytes received so far —
-    the cursor never starts an instruction unless a full ``_MAX_INSN``-byte
-    lookahead window is available, so a chunk boundary can never manufacture
-    a spurious truncation error.  ``finish`` drains the tail once the region
-    end is known, applying the same past-the-end check as
+    Drives the same scan as :func:`decode_columns`, but over a buffer
+    that grows as channel records arrive.  ``feed`` decodes every
+    instruction that *provably* fits in the bytes received so far — no
+    instruction is started unless a full ``_MAX_INSN``-byte lookahead
+    window is available, so a chunk boundary can never manufacture a
+    spurious truncation error.  ``finish`` drains the tail once the
+    region end is known, applying the same past-the-end check as
     :func:`iter_decode`.
 
-    The decoded token sequence (and any :class:`DecodeError`, message
-    included) is identical to a whole-buffer :func:`decode_all` of the
-    concatenated chunks; tests pin this at adversarial split points.
+    The rows (``columns``) and any :class:`DecodeError`, message
+    included, are identical to a whole-buffer decode of the concatenated
+    chunks; tests pin this at adversarial split points.
     """
 
-    __slots__ = ("_code", "_cur", "_finished")
+    __slots__ = ("_code", "columns", "_finished")
 
     def __init__(self, start: int = 0) -> None:
         self._code = b""
-        self._cur = _Cursor(b"", start)
+        self.columns = Columns(b"", start)
         self._finished = False
 
     @property
     def pos(self) -> int:
         """Offset of the next undecoded byte."""
-        return self._cur.pos
+        return self.columns.end
 
     @property
     def buffered(self) -> int:
         """Total bytes fed so far."""
         return len(self._code)
 
-    def feed(self, chunk: bytes) -> list[Instruction]:
-        """Absorb *chunk*, returning the newly completed instructions."""
+    def feed(self, chunk: bytes) -> InstructionView:
+        """Absorb *chunk*; returns the newly completed instructions."""
         if self._finished:
             raise ValueError("feed() after finish()")
+        cols = self.columns
         if chunk:
             self._code += bytes(chunk)
-            self._cur.code = self._code
-        out: list[Instruction] = []
-        append = out.append
-        cur = self._cur
+            cols.code = self._code
+        first = len(cols)
+        code = self._code
         # Decode only while the architectural 15-byte lookahead is fully
         # buffered: any error raised here would also be raised by the
         # whole-buffer decode, and no truncation can be a chunking artifact.
-        safe = len(self._code) - _MAX_INSN
-        while cur.pos <= safe:
-            append(_decode_next(cur))
-        return out
+        _scan(cols, code, cols.end, len(code) - _MAX_INSN + 1, len(code))
+        return InstructionView(cols, first, len(cols))
 
-    def finish(self, end: int | None = None) -> list[Instruction]:
+    def finish(self, end: int | None = None) -> InstructionView:
         """Drain the remaining tail; the stream ends at *end* (default: all
         bytes fed).  Applies :func:`iter_decode`'s region-end check."""
         self._finished = True
-        cur = self._cur
-        cur.code = self._code
+        cols = self.columns
+        cols.code = self._code
         end = len(self._code) if end is None else end
-        out: list[Instruction] = []
-        append = out.append
-        while cur.pos < end:
-            insn = _decode_next(cur)
-            if insn.end > end:
-                raise DecodeError(
-                    f"instruction at {insn.offset:#x} extends past region end {end:#x}"
-                )
-            append(insn)
-        return out
+        first = len(cols)
+        _scan(cols, self._code, cols.end, end, end)
+        return InstructionView(cols, first, len(cols))

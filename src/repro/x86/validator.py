@@ -7,20 +7,31 @@ EnGarde inherits:
 * all control transfers must target valid instruction starts,
 * all valid instructions must be reachable from the start address.
 
-`validate` enforces all three over a decoded instruction list.  Reachability
-treats the entry point plus any caller-supplied *roots* (function symbols,
-relocation targets — e.g. IFCC jump-table entries reached only through
-indirect calls) as sources, and propagates through fall-through edges and
-direct branch/call targets.
+`validate` enforces all three over the decoder's
+:class:`~repro.x86.decoder.Columns` (an instruction list is converted
+first).  Reachability treats the entry point plus any caller-supplied
+*roots* (function symbols, relocation targets — e.g. IFCC jump-table
+entries reached only through indirect calls) as sources, and propagates
+through fall-through edges and direct branch/call targets.  Every check
+reads the offset, kind and target columns; an
+:class:`~repro.x86.insn.Instruction` is built only for the offending row,
+to name it in the error.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from ..errors import ValidationError
 from .asm import BUNDLE_SIZE
+from .decoder import (
+    K_NOP,
+    TARGET_KINDS,
+    TERMINATOR_KINDS,
+    Columns,
+    InstructionView,
+)
 from .insn import Instruction
 
 __all__ = [
@@ -29,38 +40,46 @@ __all__ = [
     "check_bundles",
     "check_targets",
     "check_reachability",
-    "check_reachability_fast",
+    "as_columns",
 ]
 
 
-def check_bundles(instructions: list[Instruction], bundle_size: int = BUNDLE_SIZE) -> None:
+def as_columns(instructions: "Columns | Sequence[Instruction]") -> Columns:
+    """The :class:`Columns` behind *instructions* (built if it is a list)."""
+    if isinstance(instructions, Columns):
+        return instructions
+    if isinstance(instructions, InstructionView) and instructions.whole:
+        return instructions.columns
+    return Columns.from_instructions(instructions)
+
+
+def check_bundles(instructions, bundle_size: int = BUNDLE_SIZE) -> None:
     """Reject any instruction overlapping a *bundle_size*-byte boundary."""
-    for insn in instructions:
-        first_bundle = insn.offset // bundle_size
-        last_bundle = (insn.end - 1) // bundle_size
-        if first_bundle != last_bundle:
-            raise ValidationError(
-                f"instruction at {insn.offset:#x} ({insn.mnemonic}, "
-                f"{insn.length} bytes) overlaps a {bundle_size}-byte boundary"
-            )
+    cols = as_columns(instructions)
+    row = (cols.bundle_row if bundle_size == BUNDLE_SIZE
+           else cols.first_bundle_row(bundle_size))
+    if row >= 0:
+        insn = cols.insn(row)
+        raise ValidationError(
+            f"instruction at {insn.offset:#x} ({insn.mnemonic}, "
+            f"{insn.length} bytes) overlaps a {bundle_size}-byte boundary"
+        )
 
 
-def check_targets(
-    instructions: list[Instruction],
-    starts: "set[int] | None" = None,
-) -> set[int]:
+def check_targets(instructions, starts=None):
     """Check all static branch targets land on instruction starts.
 
-    Returns the set of valid instruction-start offsets for reuse.  Pass a
-    precomputed *starts* set (or dict keyed by offset) to skip rebuilding
-    it.
+    Returns the offset -> row index map (the valid instruction starts)
+    for reuse.  Pass a precomputed *starts* set (or dict keyed by offset)
+    to skip building it.
     """
+    cols = as_columns(instructions)
     if starts is None:
-        starts = {insn.offset for insn in instructions}
-    for insn in instructions:
-        if insn.target is None:
-            continue
-        if insn.target not in starts:
+        starts = cols.by_offset()
+    arg = cols.arg
+    for i in cols.rows(*TARGET_KINDS):
+        if arg[i] not in starts:
+            insn = cols.insn(i)
             raise ValidationError(
                 f"{insn.mnemonic} at {insn.offset:#x} targets {insn.target:#x}, "
                 "which is not a valid instruction start"
@@ -69,7 +88,7 @@ def check_targets(
 
 
 def check_reachability(
-    instructions: list[Instruction],
+    instructions,
     entry: int = 0,
     roots: Iterable[int] = (),
     by_offset: "dict[int, int] | None" = None,
@@ -78,68 +97,18 @@ def check_reachability(
 
     NOP padding inserted for bundle alignment after an unconditional
     terminator is exempt (it can never execute, and compilers routinely
-    emit it); everything else must be reachable.  Pass a precomputed
-    offset->index map as *by_offset* to skip rebuilding it.
+    emit it); everything else must be reachable.
+
+    Fall-through chains are contiguous row runs ending at the next
+    terminator, so the worklist marks whole ``[row, next_terminator]``
+    spans with one ``bytearray`` slice-assign and enqueues only the
+    branch targets inside each span.
     """
+    cols = as_columns(instructions)
     if by_offset is None:
-        by_offset = {insn.offset: i for i, insn in enumerate(instructions)}
-    if entry not in by_offset and instructions:
-        raise ValidationError(f"entry point {entry:#x} is not an instruction start")
-
-    reachable = [False] * len(instructions)
-    stack = []
-    for origin in [entry, *roots]:
-        idx = by_offset.get(origin)
-        if idx is None:
-            raise ValidationError(f"root {origin:#x} is not an instruction start")
-        stack.append(idx)
-
-    while stack:
-        idx = stack.pop()
-        if idx >= len(instructions) or reachable[idx]:
-            continue
-        reachable[idx] = True
-        insn = instructions[idx]
-        if insn.target is not None:
-            tgt = by_offset.get(insn.target)
-            if tgt is not None and not reachable[tgt]:
-                stack.append(tgt)
-        if not insn.is_terminator and idx + 1 < len(instructions):
-            if not reachable[idx + 1]:
-                stack.append(idx + 1)
-
-    for idx, insn in enumerate(instructions):
-        if reachable[idx]:
-            continue
-        if insn.mnemonic in ("nop", "nopl"):
-            continue  # dead alignment padding
-        raise ValidationError(
-            f"unreachable instruction at {insn.offset:#x} ({insn.mnemonic})"
-        )
-
-
-def check_reachability_fast(
-    instructions: list[Instruction],
-    entry: int,
-    roots: Iterable[int],
-    by_offset: dict[int, int],
-    term_idx: list[int],
-    branch_idx: list[int],
-) -> None:
-    """Interval-based reachability, behaviourally identical to
-    :func:`check_reachability`.
-
-    Fall-through chains are contiguous index runs ending at the next
-    terminator, so instead of pushing successors one instruction at a time
-    the worklist marks whole ``[idx, next_terminator]`` spans with a single
-    ``bytearray`` slice-assign and enqueues only the branch targets inside
-    the span.  Requires the sorted index lists the streamed prescan
-    collects: *term_idx* (terminator instructions) and *branch_idx*
-    (instructions with a static target).  Error messages and the
-    first-offender ordering match the reference pass exactly.
-    """
-    n = len(instructions)
-    if entry not in by_offset and instructions:
+        by_offset = cols.by_offset()
+    n = len(cols)
+    if entry not in by_offset and n:
         raise ValidationError(f"entry point {entry:#x} is not an instruction start")
 
     covered = bytearray(n)
@@ -150,6 +119,9 @@ def check_reachability_fast(
             raise ValidationError(f"root {origin:#x} is not an instruction start")
         stack.append(idx)
 
+    term_idx = cols.rows(*TERMINATOR_KINDS)
+    branch_idx = cols.rows(*TARGET_KINDS)
+    arg = cols.arg
     nterm = len(term_idx)
     nbranch = len(branch_idx)
     while stack:
@@ -161,76 +133,58 @@ def check_reachability_fast(
         covered[idx:span_end + 1] = b"\x01" * (span_end + 1 - idx)
         k = bisect_left(branch_idx, idx)
         while k < nbranch and branch_idx[k] <= span_end:
-            tgt = by_offset.get(instructions[branch_idx[k]].target)
+            tgt = by_offset.get(arg[branch_idx[k]])
             if tgt is not None and not covered[tgt]:
                 stack.append(tgt)
             k += 1
 
-    if covered.count(0):
-        for idx, flag in enumerate(covered):
-            if flag:
-                continue
-            insn = instructions[idx]
-            if insn.mnemonic in ("nop", "nopl"):
-                continue  # dead alignment padding
+    kind = cols.kind
+    idx = covered.find(0)
+    while idx >= 0:
+        if kind[idx] != K_NOP:  # nops are dead alignment padding
+            insn = cols.insn(idx)
             raise ValidationError(
                 f"unreachable instruction at {insn.offset:#x} ({insn.mnemonic})"
             )
+        idx = covered.find(0, idx + 1)
 
 
 def validate(
-    instructions: list[Instruction],
+    instructions,
     *,
     entry: int = 0,
     roots: Iterable[int] = (),
     bundle_size: int = BUNDLE_SIZE,
 ) -> None:
-    """Run all three NaCl constraints; raises :class:`ValidationError`."""
-    if not instructions:
-        raise ValidationError("empty instruction stream")
-    check_bundles(instructions, bundle_size)
-    # The offset->index map serves both as the target start-set and the
-    # reachability index — built once for the whole validation.
-    by_offset = {insn.offset: i for i, insn in enumerate(instructions)}
-    check_targets(instructions, by_offset.keys())
-    check_reachability(instructions, entry, roots, by_offset)
+    """Run all three NaCl constraints; raises :class:`ValidationError`.
+
+    *instructions* is a :class:`Columns` or a sequence of
+    :class:`Instruction` objects.  The offset index serves both as the
+    target start-set and the reachability index, built once (and shared
+    with the policy context through the columns).
+    """
+    _validate(as_columns(instructions), entry, roots, bundle_size)
 
 
 def validate_fast(
-    instructions: list[Instruction],
+    columns: Columns,
     *,
     entry: int = 0,
     roots: Iterable[int] = (),
     bundle_size: int = BUNDLE_SIZE,
-    by_offset: dict[int, int],
-    bundle_violation: tuple[int, str, int] | None,
-    branch_idx: list[int],
-    term_idx: list[int],
 ) -> None:
-    """:func:`validate` over prescan artifacts collected during streaming.
+    """:func:`validate` over the columns of a streamed scan.
 
-    The streamed decode loop already walked every instruction once, so the
-    three constraint passes reuse its byproducts instead of rescanning:
-    the first bundle offender (recorded, not raised, during decode — decode
-    errors must keep precedence exactly as in the phased order), the sorted
-    branch/terminator index lists, and the offset->index map.  Check order
-    and every error message match :func:`validate`.
+    The same checks, order and error text as :func:`validate`; a
+    separate entry point so traces tell the streamed receive path's
+    validation from the phased one.
     """
-    if not instructions:
+    _validate(columns, entry, roots, bundle_size)
+
+
+def _validate(cols: Columns, entry: int, roots: Iterable[int], bundle_size: int) -> None:
+    if not len(cols):
         raise ValidationError("empty instruction stream")
-    if bundle_violation is not None:
-        offset, mnemonic, length = bundle_violation
-        raise ValidationError(
-            f"instruction at {offset:#x} ({mnemonic}, "
-            f"{length} bytes) overlaps a {bundle_size}-byte boundary"
-        )
-    for i in branch_idx:
-        insn = instructions[i]
-        if insn.target not in by_offset:
-            raise ValidationError(
-                f"{insn.mnemonic} at {insn.offset:#x} targets {insn.target:#x}, "
-                "which is not a valid instruction start"
-            )
-    check_reachability_fast(
-        instructions, entry, roots, by_offset, term_idx, branch_idx
-    )
+    check_bundles(cols, bundle_size)
+    by_offset = check_targets(cols)
+    check_reachability(cols, entry, roots, by_offset)

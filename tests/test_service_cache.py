@@ -138,6 +138,74 @@ class TestVerdictIsolation:
         assert cache.get(key).benchmark == ""
 
 
+class TestDigestMemoFailsClosed:
+    """The registry computes its policy digest once; a configuration
+    change after that must never be answered from the old digest's
+    verdicts."""
+
+    def test_declared_configuration_is_fixed_once_registered(self):
+        from repro.core import LibraryLinkingPolicy
+        from repro.errors import PolicyError
+
+        stack = StackProtectionPolicy(exempt_functions={"memcpy"})
+        ifcc = IfccPolicy(backward_window=12)
+        linking = LibraryLinkingPolicy({"memcpy": b"\x01" * 32})
+        policies = PolicyRegistry([stack, ifcc, linking])
+        cache = InspectionCache()
+        key = cache_key(b"elf", policies)
+        cache.put(key, _report("lenient"))
+        assert policies.digest_material() is policies.digest_material()
+
+        with pytest.raises(PolicyError):
+            stack.exempt_functions = frozenset()
+        with pytest.raises(PolicyError):
+            ifcc.backward_window = 13
+        with pytest.raises(PolicyError):
+            linking.reference_hashes = {"memcpy": b"\x02" * 32}
+        with pytest.raises(TypeError):
+            linking.reference_hashes["memcpy"] = b"\x02" * 32
+        assert isinstance(stack.exempt_functions, frozenset)
+        # nothing changed, so the digest and the cached verdict still hold
+        assert cache_key(b"elf", policies) == key
+        assert cache.get(key).policies_checked == ("lenient",)
+
+    def test_undeclared_configuration_is_redigested(self):
+        from repro.core.policy import PolicyModule
+
+        class Budget(PolicyModule):
+            name = "budget"
+
+            def __init__(self, limit: int) -> None:
+                self.limit = limit
+
+            def config_digest(self) -> bytes:
+                return self.limit.to_bytes(4, "big")
+
+            def check(self, ctx):
+                raise NotImplementedError
+
+        budget = Budget(100)
+        policies = PolicyRegistry([budget, IfccPolicy()])
+        cache = InspectionCache()
+        old_key = cache_key(b"elf", policies)
+        cache.put(old_key, _report("under-limit-100"))
+        budget.limit = 5  # a module that never declared its configuration
+        new_key = cache_key(b"elf", policies)
+        assert new_key != old_key
+        assert cache.get(new_key) is None  # re-inspected, not served stale
+        assert PolicyRegistry([Budget(5), IfccPolicy()]).digest_material() \
+            == policies.digest_material()
+
+    def test_register_drops_the_memo(self):
+        policies = PolicyRegistry([IfccPolicy()])
+        before = cache_key(b"elf", policies)
+        policies.register(StackProtectionPolicy())
+        assert cache_key(b"elf", policies) != before
+        assert cache_key(b"elf", policies) == cache_key(
+            b"elf", PolicyRegistry([IfccPolicy(), StackProtectionPolicy()])
+        )
+
+
 class TestThreadSafety:
     def test_concurrent_get_put_holds_invariants(self):
         cache = InspectionCache(capacity=32)

@@ -174,14 +174,20 @@ class TestStreamingPipeline:
         pipeline = self._drive(raw, range(0, len(raw), 97))
         scan = pipeline.finish()
         assert scan is not None
-        rebuilt = StreamScan.from_instructions(scan.code, scan.instructions)
-        assert scan.by_offset == rebuilt.by_offset
-        assert scan.branch_idx == rebuilt.branch_idx
-        assert scan.term_idx == rebuilt.term_idx
-        assert _tokens(scan.direct_calls) == _tokens(rebuilt.direct_calls)
-        assert scan.indirect_idx == rebuilt.indirect_idx
-        assert scan.bundle_violation == rebuilt.bundle_violation
-        assert scan.n_bytes == rebuilt.n_bytes
+        rebuilt = StreamScan.from_instructions(
+            scan.code, list(iter_decode(text.data, 0, len(text.data)))
+        )
+        # every column the validator and the policies read: offsets,
+        # kinds (branch/terminator/call-site classes), targets and
+        # stack slots, written registers, the bundle offender, the end
+        got, want = scan.columns, rebuilt.columns
+        assert got.off == want.off
+        assert got.kind == want.kind
+        assert got.arg == want.arg
+        assert got.wreg == want.wreg
+        assert got.bundle_row == want.bundle_row
+        assert got.end == want.end == len(text.data)
+        assert got.by_offset() == want.by_offset()
 
     def test_single_byte_records_near_headers(self, demo_instrumented):
         raw = demo_instrumented.elf
